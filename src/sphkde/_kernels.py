@@ -1,39 +1,22 @@
-"""Hot numeric kernels: numba-jit implementations with pure-numpy fallbacks.
+"""Hot numeric kernels, in numpy.
 
-The jit path is used when numba imports cleanly; set ``SPHKDE_DISABLE_NUMBA=1``
-to force the numpy fallback (see ``benchmarks/backend_bench.py`` for a timing
-comparison of the two).
-
-The jit kernels sum observations in a fixed order (j outer, degree inner), so
-repeated runs are bit-identical.  The numpy fallbacks factorize the same sums
-for vectorization; they agree with the jit path to roundoff, not bitwise.
+Each kernel factorizes its observation sums for vectorization, so results
+agree with a direct term-by-term sum to roundoff, not bitwise.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-DISABLE_ENV = "SPHKDE_DISABLE_NUMBA"
+BACKEND = "numpy"
 
-_disabled = os.environ.get(DISABLE_ENV, "").strip().lower() in {"1", "true", "yes", "on"}
-
-HAS_NUMBA = False
-if not _disabled:
-    try:
-        from numba import njit, prange
-
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
+# evaluation points per block in s2_kde_values; bounds the (points x obs) buffer
+_S2_BLOCK = 256
 
 
-# ---------------------------------------------------------------------------
-# numpy fallbacks
-
-def s1_kde_values_numpy(obs: np.ndarray, gcoef: np.ndarray, pts: np.ndarray) -> np.ndarray:
+def s1_kde_values(obs: np.ndarray, gcoef: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Circle KDE values at ``pts``: (1/2pi n) sum_j (1 + 2 sum_l g_l cos(l (t - t_j)))."""
     n = obs.size
     nmax = gcoef.size
@@ -49,15 +32,13 @@ def s1_kde_values_numpy(obs: np.ndarray, gcoef: np.ndarray, pts: np.ndarray) -> 
     return out
 
 
-def s2_kde_values_numpy(
-    obs_xyz: np.ndarray, coef: np.ndarray, pts_xyz: np.ndarray, chunk: int = 256
-) -> np.ndarray:
+def s2_kde_values(obs_xyz: np.ndarray, coef: np.ndarray, pts_xyz: np.ndarray) -> np.ndarray:
     """Sphere KDE values at ``pts_xyz``: (1/n) sum_j sum_l coef_l P_l(<x, X_j>)."""
     nmax = coef.size - 1
     n = obs_xyz.shape[0]
     out = np.empty(pts_xyz.shape[0])
-    for start in range(0, pts_xyz.shape[0], chunk):
-        t = pts_xyz[start:start + chunk] @ obs_xyz.T
+    for start in range(0, pts_xyz.shape[0], _S2_BLOCK):
+        t = pts_xyz[start:start + _S2_BLOCK] @ obs_xyz.T
         np.clip(t, -1.0, 1.0, out=t)
         acc = np.full(t.shape, coef[0])
         if nmax >= 1:
@@ -67,11 +48,11 @@ def s2_kde_values_numpy(
             for ell in range(2, nmax + 1):
                 pm, p = p, ((2.0 * ell - 1.0) * t * p - (ell - 1.0) * pm) / ell
                 acc += coef[ell] * p
-        out[start:start + chunk] = acc.sum(axis=1)
+        out[start:start + _S2_BLOCK] = acc.sum(axis=1)
     return out / n
 
 
-def s1_prob_sums_numpy(obs: np.ndarray, nmax: int, th1: float, th2: float) -> np.ndarray:
+def s1_prob_sums(obs: np.ndarray, nmax: int, th1: float, th2: float) -> np.ndarray:
     """B_l = sum_j [sin(l (th2 - t_j)) - sin(l (th1 - t_j))] for l = 1..nmax."""
     if nmax == 0:
         return np.zeros(0)
@@ -79,7 +60,7 @@ def s1_prob_sums_numpy(obs: np.ndarray, nmax: int, th1: float, th2: float) -> np
     return (np.sin(ells * (th2 - obs[None, :])) - np.sin(ells * (th1 - obs[None, :]))).sum(axis=1)
 
 
-def s2_prob_datasums_numpy(
+def s2_prob_datasums(
     u: np.ndarray, phi: np.ndarray, nmax: int, phi1: float, phi2: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Observation sums entering the closed-form sphere probability.
@@ -88,6 +69,9 @@ def s2_prob_datasums_numpy(
         s0: s0[l] = sum_j P_l(u_j), l = 0..nmax.
         s:  s[l, m] = sum_j P_l^m(u_j) (sin(m (phi2 - phi_j)) - sin(m (phi1 - phi_j)))
             for 1 <= m <= l, zero elsewhere.
+
+    ``P_l^m`` is unnormalized and carries (2m - 1)!!, so ``s`` overflows to
+    inf/NaN from about cutoff 151 on.
     """
     n = u.size
     s0 = np.zeros(nmax + 1)
@@ -117,156 +101,3 @@ def s2_prob_datasums_numpy(
                 ) / (ell - m)
                 s[ell, m] = (pcur * az).sum()
     return s0, s
-
-
-# ---------------------------------------------------------------------------
-# numba jit path
-
-if HAS_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _s1_kde_values_nb(obs, gcoef, pts):  # pragma: no cover - jit
-        # factorized sums: sum_j cos(l (t - t_j)) = cos(l t) C_l + sin(l t) S_l
-        n = obs.size
-        nmax = gcoef.size
-        cs = np.zeros(nmax)
-        sn = np.zeros(nmax)
-        for j in range(n):
-            c1 = math.cos(obs[j])
-            s1 = math.sin(obs[j])
-            cm, sm = 1.0, 0.0
-            for ell in range(nmax):
-                cm, sm = cm * c1 - sm * s1, sm * c1 + cm * s1
-                cs[ell] += cm
-                sn[ell] += sm
-        out = np.empty(pts.size)
-        base = 1.0 / (2.0 * math.pi)
-        for i in prange(pts.size):
-            ct = math.cos(pts[i])
-            st = math.sin(pts[i])
-            cm, sm = 1.0, 0.0
-            acc = 0.0
-            for ell in range(nmax):
-                cm, sm = cm * ct - sm * st, sm * ct + cm * st
-                acc += gcoef[ell] * (cm * cs[ell] + sm * sn[ell])
-            out[i] = base + acc / (math.pi * n)
-        return out
-
-    @njit(cache=True, parallel=True)
-    def _s2_kde_values_nb(obs_xyz, coef, pts_xyz):  # pragma: no cover - jit
-        n = obs_xyz.shape[0]
-        nmax = coef.size - 1
-        out = np.empty(pts_xyz.shape[0])
-        for i in prange(pts_xyz.shape[0]):
-            x0 = pts_xyz[i, 0]
-            x1 = pts_xyz[i, 1]
-            x2 = pts_xyz[i, 2]
-            acc = 0.0
-            for j in range(n):
-                t = x0 * obs_xyz[j, 0] + x1 * obs_xyz[j, 1] + x2 * obs_xyz[j, 2]
-                if t > 1.0:
-                    t = 1.0
-                elif t < -1.0:
-                    t = -1.0
-                inner = coef[0]
-                if nmax >= 1:
-                    pm = 1.0
-                    p = t
-                    inner += coef[1] * p
-                    for ell in range(2, nmax + 1):
-                        pm, p = p, ((2.0 * ell - 1.0) * t * p - (ell - 1.0) * pm) / ell
-                        inner += coef[ell] * p
-                acc += inner
-            out[i] = acc / n
-        return out
-
-    @njit(cache=True)
-    def _s1_prob_sums_nb(obs, nmax, th1, th2):  # pragma: no cover - jit
-        out = np.zeros(nmax)
-        for j in range(obs.size):
-            a = th2 - obs[j]
-            b = th1 - obs[j]
-            ca = math.cos(a)
-            sa = math.sin(a)
-            cb = math.cos(b)
-            sb = math.sin(b)
-            cma, sma = 1.0, 0.0
-            cmb, smb = 1.0, 0.0
-            for ell in range(nmax):
-                cma, sma = cma * ca - sma * sa, sma * ca + cma * sa
-                cmb, smb = cmb * cb - smb * sb, smb * cb + cmb * sb
-                out[ell] += sma - smb
-        return out
-
-    @njit(cache=True)
-    def _s2_prob_datasums_nb(u, phi, nmax, phi1, phi2):  # pragma: no cover - jit
-        n = u.size
-        s0 = np.zeros(nmax + 1)
-        s = np.zeros((nmax + 1, nmax + 1))
-        for j in range(n):
-            uj = u[j]
-            s0[0] += 1.0
-            if nmax >= 1:
-                pm = 1.0
-                p = uj
-                s0[1] += p
-                for ell in range(2, nmax + 1):
-                    pm, p = p, ((2.0 * ell - 1.0) * uj * p - (ell - 1.0) * pm) / ell
-                    s0[ell] += p
-            w2 = (1.0 - uj) * (1.0 + uj)
-            somx2 = math.sqrt(w2) if w2 > 0.0 else 0.0
-            a = phi2 - phi[j]
-            b = phi1 - phi[j]
-            ca = math.cos(a)
-            sa = math.sin(a)
-            cb = math.cos(b)
-            sb = math.sin(b)
-            cma, sma = 1.0, 0.0
-            cmb, smb = 1.0, 0.0
-            pmm = 1.0
-            for m in range(1, nmax + 1):
-                pmm *= -(2.0 * m - 1.0) * somx2
-                cma, sma = cma * ca - sma * sa, sma * ca + cma * sa
-                cmb, smb = cmb * cb - smb * sb, smb * cb + cmb * sb
-                az = sma - smb
-                s[m, m] += pmm * az
-                if m < nmax:
-                    pprev = pmm
-                    pcur = uj * (2.0 * m + 1.0) * pmm
-                    s[m + 1, m] += pcur * az
-                    for ell in range(m + 2, nmax + 1):
-                        pprev, pcur = pcur, (
-                            (2.0 * ell - 1.0) * uj * pcur - (ell + m - 1.0) * pprev
-                        ) / (ell - m)
-                        s[ell, m] += pcur * az
-        return s0, s
-
-    def s1_kde_values_numba(obs, gcoef, pts):
-        return _s1_kde_values_nb(
-            np.ascontiguousarray(obs), np.ascontiguousarray(gcoef), np.ascontiguousarray(pts)
-        )
-
-    def s2_kde_values_numba(obs_xyz, coef, pts_xyz):
-        return _s2_kde_values_nb(
-            np.ascontiguousarray(obs_xyz), np.ascontiguousarray(coef), np.ascontiguousarray(pts_xyz)
-        )
-
-    def s1_prob_sums_numba(obs, nmax, th1, th2):
-        return _s1_prob_sums_nb(np.ascontiguousarray(obs), nmax, th1, th2)
-
-    def s2_prob_datasums_numba(u, phi, nmax, phi1, phi2):
-        return _s2_prob_datasums_nb(
-            np.ascontiguousarray(u), np.ascontiguousarray(phi), nmax, phi1, phi2
-        )
-
-    s1_kde_values = s1_kde_values_numba
-    s2_kde_values = s2_kde_values_numba
-    s1_prob_sums = s1_prob_sums_numba
-    s2_prob_datasums = s2_prob_datasums_numba
-    BACKEND = "numba"
-else:
-    s1_kde_values = s1_kde_values_numpy
-    s2_kde_values = s2_kde_values_numpy
-    s1_prob_sums = s1_prob_sums_numpy
-    s2_prob_datasums = s2_prob_datasums_numpy
-    BACKEND = "numpy"

@@ -520,8 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sphkde",
         description="Finite-order density and probability estimation on the circle and sphere.",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="bound internal parallelism (default: all logical processors)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="draw a seeded sample and write it as CSV")
@@ -552,10 +550,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True, choices=[1, 2])
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--r", type=int, default=None)
-    p.add_argument("--arc", action="append", help="circle arc lo,hi in radians (repeatable; lo>hi wraps)")
-    p.add_argument("--rect", action="append", help="sphere rectangle tlo,thi,plo,phi in radians (repeatable)")
+    p.add_argument("--arc", action="append",
+                   help="circle arc lo,hi in radians (repeatable; lo>hi wraps); "
+                        "write a leading minus as --arc=-1,2")
+    p.add_argument("--rect", action="append",
+                   help="sphere rectangle tlo,thi,plo,phi in radians (repeatable); "
+                        "write a leading minus as --rect=0,1,-3,3")
     p.add_argument("--latlon-box", action="append",
-                   help="sphere box latmin,latmax,lonmin,lonmax in degrees (repeatable)")
+                   help="sphere box latmin,latmax,lonmin,lonmax in degrees (repeatable); "
+                        "write a leading minus as --latlon-box=-40,-10,110,155")
     p.add_argument("--days", action="append",
                    help="circle arc as day-of-year range start,end[,period] (repeatable)")
     p.add_argument("--method", choices=["closed", "quadrature"], default="closed")
@@ -608,13 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        try:
-            import numba
-
-            numba.set_num_threads(max(1, args.threads))
-        except ImportError:
-            pass
     try:
         return args.func(args)
     except DataError as exc:

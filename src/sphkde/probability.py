@@ -95,7 +95,14 @@ def _rect_coef_tables_double(cfg: KdeConfig, rect) -> tuple[np.ndarray, np.ndarr
             acc = 0.0
             comp = 0.0
             for k in range(m, ell + 1):
-                term = float(_alp_int_coef(ell, m, k)) * _beta_kernel_double(m, k, x1, x2)
+                try:
+                    coef = float(_alp_int_coef(ell, m, k))
+                except OverflowError:
+                    raise NumericalError(
+                        f"the degree-{ell} coefficients overflow double precision "
+                        f"(cutoff {nmax}); use an extended mode"
+                    ) from None
+                term = coef * _beta_kernel_double(m, k, x1, x2)
                 yk = term - comp
                 tk = acc + yk
                 comp = (tk - acc) - yk
@@ -105,12 +112,23 @@ def _rect_coef_tables_double(cfg: KdeConfig, rect) -> tuple[np.ndarray, np.ndarr
     return a0, cm
 
 
+def _rect_datasums(
+    sample: SampleS2, nmax: int, plo: float, phi: float
+) -> tuple[np.ndarray, np.ndarray]:
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        s0, s = _kernels.s2_prob_datasums(sample.xyz[:, 2], sample.phis, nmax, plo, phi)
+    if not (np.isfinite(s0).all() and np.isfinite(s).all()):
+        raise NumericalError(
+            f"observation sums overflow double precision at cutoff {nmax}: the cutoff is "
+            "above what the unnormalized Legendre basis holds, in any precision mode"
+        )
+    return s0, s
+
+
 def _prob_rect_s2_double(sample: SampleS2, cfg: KdeConfig, rect) -> float:
     tlo, thi, plo, phi = rect
+    s0, s = _rect_datasums(sample, cfg.cutoff, plo, phi)
     a0, cm = _rect_coef_tables_double(cfg, rect)
-    s0, s = _kernels.s2_prob_datasums(
-        sample.xyz[:, 2], sample.phis, cfg.cutoff, plo, phi
-    )
     val = float(a0 @ s0 + np.sum(cm * s)) / sample.n
     if not math.isfinite(val):
         raise NumericalError(
@@ -124,9 +142,7 @@ def _prob_rect_s2_extended(sample: SampleS2, cfg: KdeConfig, rect, bits: int) ->
     tlo, thi, plo, phi = rect
     nmax = cfg.cutoff
     g = s2_symbol_coefs(cfg)
-    s0, s = _kernels.s2_prob_datasums(
-        sample.xyz[:, 2], sample.phis, nmax, plo, phi
-    )
+    s0, s = _rect_datasums(sample, nmax, plo, phi)
     x1 = 0.5 * (1.0 + math.cos(thi))
     x2 = 0.5 * (1.0 + math.cos(tlo))
     with mpmath.workprec(bits):

@@ -125,6 +125,15 @@ class TestProbCommand:
         assert closed["probability"] == pytest.approx(quad["probability"], abs=1e-6)
         assert quad["method"] == "quadrature"
 
+    def test_leading_minus_region_value(self, tmp_path):
+        data = tmp_path / "pts.csv"
+        run(["sample", "--dist", "uniform", "--d", "2", "--n", "100", "--seed", "6",
+             "--out", data])
+        out = tmp_path / "sw.json"
+        assert run(["prob", "--data", data, "--d", "2", "--s", "0.5",
+                    "--latlon-box=-40,-10,-75,-40", "--out", out]) == 0
+        assert 0.0 < json.loads(out.read_text())["probability"] < 1.0
+
     def test_explicit_precision_flag(self, tmp_path):
         data = tmp_path / "pts.csv"
         run(["sample", "--dist", "uniform", "--d", "2", "--n", "60", "--seed", "8",
@@ -274,10 +283,6 @@ class TestRoundTrip:
         direct1 = sample_uniform(1, 300, SeededRng(22))
         loaded1 = load_sample(str(out1), 1)
         assert np.array_equal(loaded1.thetas, direct1.thetas)
-
-    def test_threads_flag_accepted(self, tmp_path):
-        assert run(["--threads", "1", "sample", "--dist", "uniform", "--d", "1",
-                    "--n", "10", "--seed", "0", "--out", tmp_path / "t.csv"]) == 0
 
 
 class TestUsageErrors:

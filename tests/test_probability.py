@@ -15,7 +15,7 @@ from sphkde.probability import (
     vmf_true_prob_cap,
 )
 from sphkde.sampling import SeededRng, sample_uniform
-from sphkde.specfun import DOUBLE, extended
+from sphkde.specfun import DOUBLE, NumericalError, _beta_kernel_mp, extended
 
 
 class TestProbArcS1:
@@ -115,6 +115,21 @@ class TestProbRectS2:
         cfg = make_config(2, 1.0, 20)
         est = prob_rect_s2(sample, cfg, FULL_SPHERE)
         assert est.elapsed > 0.0
+
+    def test_double_tables_overflow_is_numerical_error(self):
+        # degree-135 coefficients exceed the largest double
+        sample = sample_uniform(2, 25, SeededRng(12))
+        cfg = KdeConfig(dim=2, smoothness=1.0, decay=6, n_obs=25, bandwidth=0.1, cutoff=140)
+        with pytest.raises(NumericalError, match="extended mode"):
+            prob_rect_s2(sample, cfg, rect_region((0.5, 1.0, 0.0, 0.6)), DOUBLE)
+
+    def test_overflowing_datasums_fail_before_extended_loop(self):
+        sample = sample_uniform(2, 25, SeededRng(13))
+        cfg = KdeConfig(dim=2, smoothness=1.0, decay=6, n_obs=25, bandwidth=0.1, cutoff=151)
+        misses = _beta_kernel_mp.cache_info().misses
+        with pytest.raises(NumericalError, match="cutoff 151"):
+            prob_rect_s2(sample, cfg, rect_region((0.5, 1.0, 0.0, 0.6)))
+        assert _beta_kernel_mp.cache_info().misses == misses
 
     def test_dimension_mismatch(self):
         sample = sample_uniform(2, 10, SeededRng(11))
