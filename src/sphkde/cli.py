@@ -45,7 +45,7 @@ from .sampling import (
     VmfSpec,
     distribution_from_name,
 )
-from .specfun import DOUBLE, NumericalError, extended
+from .specfun import NumericalError
 from .evaluation import bench_integration, estimate_mise
 
 
@@ -275,18 +275,6 @@ def _parse_regions(args, d: int):
     return rect_region(*rects)
 
 
-def _precision(text: str):
-    if text == "auto":
-        return None
-    if text == "double":
-        return DOUBLE
-    if text == "extended":
-        return extended()
-    if text.startswith("extended:"):
-        return extended(int(text.split(":", 1)[1]))
-    raise ValueError(f"unknown precision {text!r}")
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -349,13 +337,12 @@ def cmd_prob(args) -> int:
     sample = load_sample(args.data, args.d)
     cfg = make_config(args.d, args.s, sample.n, args.r)
     region = _parse_regions(args, args.d)
-    mode = _precision(args.precision)
     if args.method == "quadrature":
         est = quadrature_prob(sample, cfg, region)
     elif args.d == 1:
         est = prob_arc_s1(sample, cfg, region)
     else:
-        est = prob_rect_s2(sample, cfg, region, mode)
+        est = prob_rect_s2(sample, cfg, region)
     report = {
         "probability": est.value,
         "method": est.method,
@@ -562,8 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--days", action="append",
                    help="circle arc as day-of-year range start,end[,period] (repeatable)")
     p.add_argument("--method", choices=["closed", "quadrature"], default="closed")
-    p.add_argument("--precision", default="auto",
-                   help="auto | double | extended | extended:BITS")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_prob)
 

@@ -135,7 +135,7 @@ class SampleS2:
             raise ValueError(f"expected a non-empty (n, 3) array, got shape {arr.shape}")
         nrm2 = np.einsum("ij,ij->i", arr, arr)
         worst = float(np.max(np.abs(nrm2 - 1.0)))
-        if worst > 1e-9:
+        if not worst <= 1e-9:  # also rejects NaN rows
             raise ValueError(f"rows must be unit vectors; worst |x|^2 - 1 = {worst:g}")
         theta, phi = cartesian_to_angles(arr)
         return SampleS2(arr, theta, phi, **meta)
@@ -146,7 +146,7 @@ class SampleS2:
         phis = normalize_angles(np.asarray(phis, dtype=np.float64).ravel())
         if thetas.size == 0 or thetas.size != phis.size:
             raise ValueError("theta and phi arrays must be non-empty and aligned")
-        if np.any((thetas < 0.0) | (thetas > math.pi)):
+        if not np.all((thetas >= 0.0) & (thetas <= math.pi)):  # also rejects NaN
             raise ValueError("inclinations must lie in [0, pi]")
         st = np.sin(thetas)
         xyz = np.column_stack((st * np.cos(phis), st * np.sin(phis), np.cos(thetas)))

@@ -2,12 +2,16 @@
 independent quadrature oracle.
 
 The circle closed form needs only sine sums and is stable at any cutoff.  The
-sphere closed form combines per-degree/order coefficient integrals (computed
-in double or extended precision, see :mod:`sphkde.specfun`) with observation
-sums evaluated by the hot kernels.  The quadrature oracle integrates the
-pointwise estimator directly: adaptive Simpson on circle arcs and a
-Gauss-Legendre product rule in (theta, phi) on sphere rectangles, with node
-counts scaled to the bandlimit so the rule stays spectrally accurate.
+sphere closed form runs in double precision at every cutoff: it pairs the
+observation sums of normalized associated Legendre functions ``Pbar_lm``
+(:func:`sphkde._kernels.s2_prob_datasums`) with their integrals over the
+theta-band, taken by a Gauss-Legendre rule exact for that bandlimit, and with
+the azimuth integrals in closed form.  ``_prob_rect_s2_extended`` keeps the
+incomplete-Beta closed form in 256-bit arithmetic as a test reference; no
+production path calls it.  The quadrature oracle integrates the pointwise
+estimator directly: adaptive Simpson on circle arcs and a Gauss-Legendre
+product rule in (theta, phi) on sphere rectangles, with node counts scaled to
+the bandlimit so the rule stays spectrally accurate.
 """
 
 from __future__ import annotations
@@ -15,22 +19,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from . import _kernels
 from .geometry import ArcRegion, RectRegion
 from .kde import FOUR_PI, KdeConfig, SampleS1, SampleS2, s1_symbol_coefs, s2_symbol_coefs
-from .specfun import (
-    DOUBLE,
-    NumericalError,
-    PrecisionMode,
-    _beta_kernel_double,
-    _beta_kernel_mp,
-    _alp_int_coef,
-    resolve_mode,
-)
+from .specfun import DOUBLE, NumericalError, PrecisionMode
+from .specfun import _beta_kernel_double  # noqa: F401  (perfbench/spans.py counts calls through it)
 
 METHOD_CLOSED = "closed-form"
 METHOD_QUADRATURE = "quadrature"
@@ -67,60 +64,34 @@ def prob_arc_s1(sample: SampleS1, cfg: KdeConfig, region: ArcRegion) -> ProbEsti
 
 
 def _rect_coef_tables_double(cfg: KdeConfig, rect) -> tuple[np.ndarray, np.ndarray]:
-    """Per-degree (m = 0) and per-(degree, order) coefficient tables, doubles."""
+    """Per-degree (m = 0) and per-(degree, order) coefficient tables of one rectangle.
+
+    ``I_lm``, the integral of ``Pbar_lm(cos t) sin t`` over the theta-band, is a
+    trigonometric polynomial of degree l + 1 in t, so the bandlimited
+    Gauss-Legendre rule integrates it to roundoff.
+    """
     tlo, thi, plo, phi = rect
     nmax = cfg.cutoff
     g = s2_symbol_coefs(cfg)
-    y1 = 1.0 - math.cos(tlo)
-    y2 = 1.0 - math.cos(thi)
-    x1 = 0.5 * (1.0 + math.cos(thi))
-    x2 = 0.5 * (1.0 + math.cos(tlo))
-    a0 = np.zeros(nmax + 1)
-    for ell in range(nmax + 1):
-        acc = 0.0
-        comp = 0.0
-        for k in range(ell + 1):
-            c = math.comb(ell, k) * math.comb(ell + k, k)
-            term = float(c) * (-0.5) ** k / (k + 1.0) * (y2 ** (k + 1) - y1 ** (k + 1))
-            yk = term - comp
-            tk = acc + yk
-            comp = (tk - acc) - yk
-            acc = tk
-        n2 = (2.0 * ell + 1.0) / FOUR_PI
-        a0[ell] = g[ell] * n2 * (phi - plo) * acc
+    tn, tw = gauss_nodes(_bandlimited_nodes(0, nmax + 1, thi - tlo), tlo, thi)
+    weights = tw * np.sin(tn)
+    columns = _kernels.normalized_alf_columns(np.cos(tn), nmax)
+    a0 = g * (phi - plo) * (next(columns)[1] @ weights)
     cm = np.zeros((nmax + 1, nmax + 1))
-    for ell in range(1, nmax + 1):
-        log_front = math.log((2.0 * ell + 1.0) / FOUR_PI)
-        for m in range(1, ell + 1):
-            acc = 0.0
-            comp = 0.0
-            for k in range(m, ell + 1):
-                try:
-                    coef = float(_alp_int_coef(ell, m, k))
-                except OverflowError:
-                    raise NumericalError(
-                        f"the degree-{ell} coefficients overflow double precision "
-                        f"(cutoff {nmax}); use an extended mode"
-                    ) from None
-                term = coef * _beta_kernel_double(m, k, x1, x2)
-                yk = term - comp
-                tk = acc + yk
-                comp = (tk - acc) - yk
-                acc = tk
-            n2 = math.exp(log_front + math.lgamma(ell - m + 1) - math.lgamma(ell + m + 1))
-            cm[ell, m] = g[ell] * (2.0 / m) * n2 * acc
+    for m, col in columns:
+        cm[m:, m] = g[m:] * (2.0 / m) * (col @ weights)  # col @ weights = I_lm, l = m..nmax
     return a0, cm
 
 
 def _rect_datasums(
     sample: SampleS2, nmax: int, plo: float, phi: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums are reported below
         s0, s = _kernels.s2_prob_datasums(sample.xyz[:, 2], sample.phis, nmax, plo, phi)
     if not (np.isfinite(s0).all() and np.isfinite(s).all()):
         raise NumericalError(
-            f"observation sums overflow double precision at cutoff {nmax}: the cutoff is "
-            "above what the unnormalized Legendre basis holds, in any precision mode"
+            f"observation sums are not finite at cutoff {nmax}; "
+            "the sample holds non-finite coordinates"
         )
     return s0, s
 
@@ -129,16 +100,16 @@ def _prob_rect_s2_double(sample: SampleS2, cfg: KdeConfig, rect) -> float:
     tlo, thi, plo, phi = rect
     s0, s = _rect_datasums(sample, cfg.cutoff, plo, phi)
     a0, cm = _rect_coef_tables_double(cfg, rect)
-    val = float(a0 @ s0 + np.sum(cm * s)) / sample.n
-    if not math.isfinite(val):
-        raise NumericalError(
-            "closed-form probability overflowed in double precision; "
-            "retry with an extended mode (raise the bit count if needed)"
-        )
-    return val
+    return float(a0 @ s0 + np.sum(cm * s)) / sample.n
 
 
 def _prob_rect_s2_extended(sample: SampleS2, cfg: KdeConfig, rect, bits: int) -> float:
+    """Test reference: the incomplete-Beta closed form of one rectangle in ``bits``-bit
+    arithmetic (mpmath), combined with the normalized observation sums."""
+    import mpmath
+
+    from .specfun import _alp_int_coef, _beta_kernel_mp
+
     tlo, thi, plo, phi = rect
     nmax = cfg.cutoff
     g = s2_symbol_coefs(cfg)
@@ -157,7 +128,7 @@ def _prob_rect_s2_extended(sample: SampleS2, cfg: KdeConfig, rect, bits: int) ->
                 c = math.comb(ell, k) * math.comb(ell + k, k)
                 acc += c * half ** k / (k + 1) * (y2 ** (k + 1) - y1 ** (k + 1))
             n2 = (2 * ell + 1) / mpmath.mpf(FOUR_PI)
-            total += g[ell] * n2 * width * acc * s0[ell]
+            total += g[ell] * mpmath.sqrt(n2) * width * acc * s0[ell]
             log_front = mpmath.log((2 * ell + 1) / mpmath.mpf(FOUR_PI))
             for m in range(1, ell + 1):
                 if s[ell, m] == 0.0:
@@ -168,7 +139,7 @@ def _prob_rect_s2_extended(sample: SampleS2, cfg: KdeConfig, rect, bits: int) ->
                 n2m = mpmath.exp(
                     log_front + mpmath.loggamma(ell - m + 1) - mpmath.loggamma(ell + m + 1)
                 )
-                total += g[ell] * mpmath.mpf(2) / m * n2m * tsum * s[ell, m]
+                total += g[ell] * mpmath.mpf(2) / m * mpmath.sqrt(n2m) * tsum * s[ell, m]
         val = float(total / sample.n)
     if not math.isfinite(val):
         raise NumericalError(
@@ -178,16 +149,10 @@ def _prob_rect_s2_extended(sample: SampleS2, cfg: KdeConfig, rect, bits: int) ->
     return val
 
 
-def prob_rect_s2(
-    sample: SampleS2,
-    cfg: KdeConfig,
-    region: RectRegion,
-    mode: PrecisionMode | None = None,
-) -> ProbEstimate:
+def prob_rect_s2(sample: SampleS2, cfg: KdeConfig, region: RectRegion) -> ProbEstimate:
     """Closed-form probability of a rectangle union under the sphere estimator.
 
-    ``mode=None`` picks double or extended arithmetic automatically from the
-    cutoff; the mode actually used is recorded on the estimate.
+    One double-precision path serves every cutoff; the estimate records ``DOUBLE``.
     """
     if cfg.dim != 2:
         raise ValueError(f"config dimension is {cfg.dim}, expected 2")
@@ -195,15 +160,11 @@ def prob_rect_s2(
         raise ValueError("sphere probabilities integrate over RectRegion")
     if cfg.n_obs != sample.n:
         raise ValueError(f"config n={cfg.n_obs} != sample n={sample.n}")
-    mode = resolve_mode(mode, cfg.cutoff)
     t0 = time.perf_counter()
     total = 0.0
     for rect in region.rects:
-        if mode.kind == "double":
-            total += _prob_rect_s2_double(sample, cfg, rect)
-        else:
-            total += _prob_rect_s2_extended(sample, cfg, rect, mode.bits)
-    return ProbEstimate(total, region, METHOD_CLOSED, mode, time.perf_counter() - t0)
+        total += _prob_rect_s2_double(sample, cfg, rect)
+    return ProbEstimate(total, region, METHOD_CLOSED, DOUBLE, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +194,19 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int =
     return recurse(a, fa, m, fm, b, fb, whole, tol, max_depth)
 
 
+@lru_cache(maxsize=256)
+def _legendre_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
+    # leggauss costs O(count^2) and outweighs a low-cutoff coefficient table;
+    # the arrays are shared between callers, so they are made read-only
+    x, w = np.polynomial.legendre.leggauss(count)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_nodes(count: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights mapped to [lo, hi]."""
-    x, w = np.polynomial.legendre.leggauss(count)
+    x, w = _legendre_rule(count)
     half = 0.5 * (hi - lo)
     return half * x + 0.5 * (hi + lo), half * w
 

@@ -7,12 +7,17 @@ recurrences; the explicit alternating expansion is kept only for
 exact-rational cross-validation (it cancels catastrophically in floating
 point from moderate degree on).
 
-The closed-form integral coefficient sums alternate in sign with factorially
-large terms.  They are computed in double precision up to degree
-``AUTO_EXTENDED_DEGREE`` and in arbitrary-precision arithmetic (mpmath,
+The closed-form (incomplete-Beta) integral coefficient sums alternate in sign
+with factorially large terms.  They are computed in double precision up to
+degree ``AUTO_EXTENDED_DEGREE`` and in arbitrary-precision arithmetic (mpmath,
 default 256 bits) above that; the switch point was validated against a
 quadrature oracle (double keeps ~1e-10 absolute error through degree 8 and
-degrades rapidly past degree 12).
+degrades rapidly past degree 12).  These sums are references: acceptance
+criterion 5 checks the lemma through :func:`assoc_legendre_integral`, and the
+256-bit sphere probability that tests compare against uses ``_alp_int_coef``
+and ``_beta_kernel_mp``.  The production sphere closed form needs none of
+them; it integrates normalized Legendre columns in double precision
+(:func:`sphkde._kernels.normalized_alf_columns`).
 """
 
 from __future__ import annotations

@@ -28,7 +28,6 @@ from sphkde import (
     assoc_legendre_integral,
     bench_integration,
     estimate_mise,
-    extended,
     legendre_p,
     legendre_p_expansion,
     make_config,
@@ -164,7 +163,7 @@ def test_criterion_04_oracle_equivalence():
         worst_small = max(worst_small, diff)
         count += 1
 
-    # earthquake regime: cutoff 92 at 256-bit extended precision
+    # earthquake regime: cutoff 92
     worst_large = 0.0
     h = 1630.0 ** (-1.0 / 2.1)
     for i in range(10):
@@ -174,7 +173,7 @@ def test_criterion_04_oracle_equivalence():
         tlo, thi = np.sort(rng.uniform(0.0, math.pi, 2))
         plo, phi = np.sort(rng.uniform(-math.pi, math.pi, 2))
         region = rect_region((float(tlo), float(thi), float(plo), float(phi)))
-        closed = prob_rect_s2(sample, cfg, region, extended(256)).value
+        closed = prob_rect_s2(sample, cfg, region).value
         oracle = quadrature_prob(sample, cfg, region).value
         worst_large = max(worst_large, abs(closed - oracle))
     ok = worst_small <= 1e-6 and worst_large <= 1e-8
@@ -182,7 +181,7 @@ def test_criterion_04_oracle_equivalence():
         4,
         ok,
         f"closed form vs quadrature: worst diff {worst_small:.2e} over 100 instances "
-        f"(tol 1e-6); {worst_large:.2e} over 10 cutoff-92 extended instances (tol 1e-8)",
+        f"(tol 1e-6); {worst_large:.2e} over 10 cutoff-92 instances (tol 1e-8)",
     )
 
 

@@ -134,14 +134,25 @@ class TestProbCommand:
                     "--latlon-box=-40,-10,-75,-40", "--out", out]) == 0
         assert 0.0 < json.loads(out.read_text())["probability"] < 1.0
 
-    def test_explicit_precision_flag(self, tmp_path):
+    def test_report_precision_is_double(self, tmp_path):
         data = tmp_path / "pts.csv"
         run(["sample", "--dist", "uniform", "--d", "2", "--n", "60", "--seed", "8",
              "--out", data])
         out = tmp_path / "p.json"
-        assert run(["prob", "--data", data, "--d", "2", "--s", "1", "--precision",
-                    "extended:128", "--rect", "0,1.2,-1,2", "--out", out]) == 0
-        assert json.loads(out.read_text())["precision"] == "extended:128"
+        assert run(["prob", "--data", data, "--d", "2", "--s", "0.05",
+                    "--rect", "0,1.2,-1,2", "--out", out]) == 0
+        report = json.loads(out.read_text())
+        assert report["cutoff"] > 8 and report["precision"] == "double:53"
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["prob", "--data", str(data), "--d", "2", "--s", "1",
+                                       "--rect", "0,1,0,1", "--precision", "double"])
+        assert exc.value.code == 2
+
+    def test_nan_row_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "nan.csv"
+        data.write_text("x1,x2,x3\n0,0,1\nnan,0,1\n1,0,0\n")
+        assert run(["prob", "--data", data, "--d", "2", "--s", "1", "--rect", "0,1,0,1"]) == 3
+        assert "data error" in capsys.readouterr().err
 
     def test_wrapped_day_range(self, tmp_path):
         data = tmp_path / "angles.csv"

@@ -27,6 +27,7 @@ from sphkde.sampling import (
     VmfSpec,
     vmf_density,
 )
+from sphkde.specfun import sh_norm_const
 
 NORTH = sphere_from_xyz(0.0, 0.0, 1.0)
 
@@ -229,12 +230,23 @@ class TestKernelBackends:
         u = rng.uniform(-1, 1, 250)
         phi = rng.uniform(-math.pi, math.pi, 250)
         a0, am = _kernels.s2_prob_datasums(u, phi, 15, -0.5, 2.5)
-        b0 = np.array([eval_legendre(ell, u).sum() for ell in range(16)])
+        b0 = np.array([sh_norm_const(ell, 0) * eval_legendre(ell, u).sum() for ell in range(16)])
         bm = np.zeros((16, 16))
         for ell in range(1, 16):
             for m in range(1, ell + 1):
                 az = np.sin(m * (2.5 - phi)) - np.sin(m * (-0.5 - phi))
-                bm[ell, m] = (lpmv(m, ell, u) * az).sum()
+                bm[ell, m] = sh_norm_const(ell, m) * (lpmv(m, ell, u) * az).sum()
         assert np.max(np.abs(a0 - b0)) < 1e-9
         scale = np.maximum(1.0, np.abs(bm))
         assert np.max(np.abs(am - bm) / scale) < 1e-9
+
+    def test_normalized_alf_columns_sum_rule(self):
+        # addition theorem at zero angle: Pbar_l0^2 + 2 sum_m Pbar_lm^2 = (2l+1)/(4pi).
+        # At sin(theta) = 1/e and degree 2000, sqrt(1-u^2)^m passes below the
+        # smallest double for the orders that carry most of the sum.
+        u = np.cos(np.array([0.05, math.asin(1.0 / math.e), 1.2]))
+        nmax = 2000
+        total = np.zeros(u.size)
+        for m, col in _kernels.normalized_alf_columns(u, nmax):
+            total += (1.0 if m == 0 else 2.0) * col[-1] ** 2
+        assert np.max(np.abs(total / ((2 * nmax + 1) / (4 * math.pi)) - 1.0)) < 1e-10

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sphkde.geometry import FULL_CIRCLE, FULL_SPHERE, arc_region, rect_region
 from sphkde.kde import KdeConfig, SampleS1, SampleS2, make_config
 from sphkde.probability import (
     METHOD_CLOSED,
     METHOD_QUADRATURE,
+    _prob_rect_s2_extended,
     adaptive_simpson,
     prob_arc_s1,
     prob_rect_s2,
@@ -15,7 +18,7 @@ from sphkde.probability import (
     vmf_true_prob_cap,
 )
 from sphkde.sampling import SeededRng, sample_uniform
-from sphkde.specfun import DOUBLE, NumericalError, _beta_kernel_mp, extended
+from sphkde.specfun import DOUBLE
 
 
 class TestProbArcS1:
@@ -96,19 +99,22 @@ class TestProbRectS2:
         )
         assert whole == pytest.approx(parts, abs=1e-10)
 
-    def test_forced_extended_recorded(self):
-        sample = sample_uniform(2, 30, SeededRng(8))
-        cfg = make_config(2, 1.0, 30)
-        est = prob_rect_s2(sample, cfg, FULL_SPHERE, extended(128))
-        assert est.precision.kind == "extended" and est.precision.bits == 128
-        assert est.value == pytest.approx(1.0, abs=1e-9)
+    def test_matches_256bit_reference(self):
+        # the incomplete-Beta closed form at 256 bits is an independent theta integral
+        sample = sample_uniform(2, 25, SeededRng(8))
+        rect = (0.3, 1.7, -1.0, 2.0)
+        for cutoff in (8, 19, 92):
+            cfg = KdeConfig(dim=2, smoothness=0.05, decay=6, n_obs=25, bandwidth=0.05,
+                            cutoff=cutoff)
+            est = prob_rect_s2(sample, cfg, rect_region(rect)).value
+            assert est == pytest.approx(_prob_rect_s2_extended(sample, cfg, rect, 256), abs=1e-12)
 
-    def test_auto_mode_switches_at_high_cutoff(self):
+    def test_high_cutoff_recorded_as_double(self):
         sample = sample_uniform(2, 1000, SeededRng(9))
         cfg = make_config(2, 0.5, 1000)
         assert cfg.cutoff == 19
         est = prob_rect_s2(sample, cfg, rect_region((0.0, 1.0, -1.0, 1.0)))
-        assert est.precision.kind == "extended"
+        assert est.precision == DOUBLE
 
     def test_elapsed_recorded(self):
         sample = sample_uniform(2, 20, SeededRng(10))
@@ -116,25 +122,65 @@ class TestProbRectS2:
         est = prob_rect_s2(sample, cfg, FULL_SPHERE)
         assert est.elapsed > 0.0
 
-    def test_double_tables_overflow_is_numerical_error(self):
-        # degree-135 coefficients exceed the largest double
+    def test_cutoffs_above_unnormalized_ceiling_match_quadrature(self):
+        # unnormalized P_l^m passed the largest double from cutoff 135 (tables) and 151 (sums)
         sample = sample_uniform(2, 25, SeededRng(12))
-        cfg = KdeConfig(dim=2, smoothness=1.0, decay=6, n_obs=25, bandwidth=0.1, cutoff=140)
-        with pytest.raises(NumericalError, match="extended mode"):
-            prob_rect_s2(sample, cfg, rect_region((0.5, 1.0, 0.0, 0.6)), DOUBLE)
-
-    def test_overflowing_datasums_fail_before_extended_loop(self):
-        sample = sample_uniform(2, 25, SeededRng(13))
-        cfg = KdeConfig(dim=2, smoothness=1.0, decay=6, n_obs=25, bandwidth=0.1, cutoff=151)
-        misses = _beta_kernel_mp.cache_info().misses
-        with pytest.raises(NumericalError, match="cutoff 151"):
-            prob_rect_s2(sample, cfg, rect_region((0.5, 1.0, 0.0, 0.6)))
-        assert _beta_kernel_mp.cache_info().misses == misses
+        region = rect_region((0.5, 1.0, 0.0, 0.6))
+        for cutoff in (139, 207):
+            cfg = KdeConfig(dim=2, smoothness=1.0, decay=6, n_obs=25, bandwidth=0.1, cutoff=cutoff)
+            closed = prob_rect_s2(sample, cfg, region).value
+            assert closed == pytest.approx(quadrature_prob(sample, cfg, region).value, abs=1e-10)
 
     def test_dimension_mismatch(self):
         sample = sample_uniform(2, 10, SeededRng(11))
         with pytest.raises(ValueError):
             prob_rect_s2(sample, make_config(1, 1.0, 10), FULL_SPHERE)
+
+
+_ANGLES = st.floats(0.0, 1.0)
+_BANDWIDTHS = st.floats(0.01, 0.5)
+
+
+def _sphere_case(seed, n, cutoff, h):
+    sample = sample_uniform(2, n, SeededRng(seed))
+    cfg = KdeConfig(dim=2, smoothness=1.0, decay=6, n_obs=n, bandwidth=h, cutoff=cutoff)
+    return sample, cfg
+
+
+class TestProbRectS2Properties:
+    """Region-split additivity and total mass of the sphere closed form."""
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6), st.integers(1, 60), st.integers(0, 60), _BANDWIDTHS,
+           st.lists(_ANGLES, min_size=3, max_size=3, unique=True), _ANGLES, _ANGLES)
+    def test_theta_split_additivity(self, seed, n, cutoff, h, ts, p1, p2):
+        tlo, tmid, thi = sorted(math.pi * t for t in ts)
+        plo, phi = sorted((2.0 * math.pi * p1 - math.pi, 2.0 * math.pi * p2 - math.pi))
+        assume(tlo < tmid < thi and plo < phi)
+        sample, cfg = _sphere_case(seed, n, cutoff, h)
+        whole = prob_rect_s2(sample, cfg, rect_region((tlo, thi, plo, phi))).value
+        parts = (prob_rect_s2(sample, cfg, rect_region((tlo, tmid, plo, phi))).value
+                 + prob_rect_s2(sample, cfg, rect_region((tmid, thi, plo, phi))).value)
+        assert whole == pytest.approx(parts, abs=1e-12)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6), st.integers(1, 60), st.integers(0, 60), _BANDWIDTHS,
+           st.lists(_ANGLES, min_size=3, max_size=3, unique=True), _ANGLES, _ANGLES)
+    def test_phi_split_additivity(self, seed, n, cutoff, h, ps, t1, t2):
+        plo, pmid, phi = sorted(2.0 * math.pi * p - math.pi for p in ps)
+        tlo, thi = sorted((math.pi * t1, math.pi * t2))
+        assume(plo < pmid < phi and tlo < thi)
+        sample, cfg = _sphere_case(seed, n, cutoff, h)
+        whole = prob_rect_s2(sample, cfg, rect_region((tlo, thi, plo, phi))).value
+        parts = (prob_rect_s2(sample, cfg, rect_region((tlo, thi, plo, pmid))).value
+                 + prob_rect_s2(sample, cfg, rect_region((tlo, thi, pmid, phi))).value)
+        assert whole == pytest.approx(parts, abs=1e-12)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6), st.integers(1, 200), st.integers(0, 120), _BANDWIDTHS)
+    def test_full_sphere_is_one(self, seed, n, cutoff, h):
+        sample, cfg = _sphere_case(seed, n, cutoff, h)
+        assert prob_rect_s2(sample, cfg, FULL_SPHERE).value == pytest.approx(1.0, abs=1e-12)
 
 
 class TestQuadratureProb:
