@@ -17,8 +17,13 @@ _S2_BLOCK = 256
 
 # scale on the sectoral Legendre seeds (Holmes & Featherstone 2002).  Unscaled,
 # sqrt(1-u^2)^m underflows before the recursion in l lifts its column back to
-# O(1) from cutoff ~1900 on; scaled, from ~3600 on
+# O(1) from degree ~1900 on; scaled, from ~3600 on (at sqrt(1-u^2) = 1/e), and
+# the lost columns would read as zeros
 _SEED_SCALE = 1e280
+
+# highest degree at which normalized_alf_columns is tested (the addition-theorem
+# sum rule); callers must not ask for more
+ALF_MAX_DEGREE = 2000
 
 
 def s1_kde_values(obs: np.ndarray, gcoef: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -69,7 +74,7 @@ def normalized_alf_columns(u: np.ndarray, nmax: int):
     """Yield ``(m, col)`` for m = 0..nmax, with ``col[l - m] = Pbar_lm(u)`` for l = m..nmax.
 
     ``Pbar_lm = sqrt((2l+1)/(4pi) (l-m)!/(l+m)!) P_l^m`` with the (-1)^m phase,
-    so |Pbar_lm| <= sqrt((2l+1)/(4pi)) and nothing overflows at any degree.
+    so |Pbar_lm| <= sqrt((2l+1)/(4pi)).  Valid for nmax <= ``ALF_MAX_DEGREE``.
     Column recursion of Holmes & Featherstone (2002, J. Geodesy 76:279-299):
     sectoral seeds ``Pbar_mm = -sqrt((2m+1)/(2m)) sqrt(1-u^2) Pbar_{m-1,m-1}``,
     then ``Pbar_lm = a_lm u Pbar_{l-1,m} - (a_lm / a_{l-1,m}) Pbar_{l-2,m}`` with

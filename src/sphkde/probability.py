@@ -2,16 +2,18 @@
 independent quadrature oracle.
 
 The circle closed form needs only sine sums and is stable at any cutoff.  The
-sphere closed form runs in double precision at every cutoff: it pairs the
-observation sums of normalized associated Legendre functions ``Pbar_lm``
+sphere closed form runs in double precision: it pairs the observation sums of
+normalized associated Legendre functions ``Pbar_lm``
 (:func:`sphkde._kernels.s2_prob_datasums`) with their integrals over the
 theta-band, taken by a Gauss-Legendre rule exact for that bandlimit, and with
-the azimuth integrals in closed form.  ``_prob_rect_s2_extended`` keeps the
-incomplete-Beta closed form in 256-bit arithmetic as a test reference; no
-production path calls it.  The quadrature oracle integrates the pointwise
-estimator directly: adaptive Simpson on circle arcs and a Gauss-Legendre
-product rule in (theta, phi) on sphere rectangles, with node counts scaled to
-the bandlimit so the rule stays spectrally accurate.
+the azimuth integrals in closed form.  Above cutoff ``_kernels.ALF_MAX_DEGREE``
+(2000), the highest degree its Legendre recursion is tested at, it raises
+NumericalError.  ``_prob_rect_s2_extended`` keeps the incomplete-Beta closed
+form in 256-bit arithmetic as a test reference; no production path calls it.
+The quadrature oracle integrates the pointwise estimator directly: adaptive
+Simpson on circle arcs and a Gauss-Legendre product rule in (theta, phi) on
+sphere rectangles, with node counts scaled to the bandlimit so the rule stays
+spectrally accurate.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -152,7 +153,8 @@ def _prob_rect_s2_extended(sample: SampleS2, cfg: KdeConfig, rect, bits: int) ->
 def prob_rect_s2(sample: SampleS2, cfg: KdeConfig, region: RectRegion) -> ProbEstimate:
     """Closed-form probability of a rectangle union under the sphere estimator.
 
-    One double-precision path serves every cutoff; the estimate records ``DOUBLE``.
+    One double-precision path serves every cutoff up to ``_kernels.ALF_MAX_DEGREE``;
+    the estimate records ``DOUBLE``.  Above it, raises :class:`NumericalError`.
     """
     if cfg.dim != 2:
         raise ValueError(f"config dimension is {cfg.dim}, expected 2")
@@ -160,6 +162,11 @@ def prob_rect_s2(sample: SampleS2, cfg: KdeConfig, region: RectRegion) -> ProbEs
         raise ValueError("sphere probabilities integrate over RectRegion")
     if cfg.n_obs != sample.n:
         raise ValueError(f"config n={cfg.n_obs} != sample n={sample.n}")
+    if cfg.cutoff > _kernels.ALF_MAX_DEGREE:
+        raise NumericalError(
+            f"cutoff {cfg.cutoff} is above {_kernels.ALF_MAX_DEGREE}, the highest degree "
+            "at which the normalized Legendre recursion is tested"
+        )
     t0 = time.perf_counter()
     total = 0.0
     for rect in region.rects:
@@ -194,19 +201,9 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int =
     return recurse(a, fa, m, fm, b, fb, whole, tol, max_depth)
 
 
-@lru_cache(maxsize=256)
-def _legendre_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
-    # leggauss costs O(count^2) and outweighs a low-cutoff coefficient table;
-    # the arrays are shared between callers, so they are made read-only
-    x, w = np.polynomial.legendre.leggauss(count)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
 def gauss_nodes(count: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights mapped to [lo, hi]."""
-    x, w = _legendre_rule(count)
+    x, w = np.polynomial.legendre.leggauss(count)
     half = 0.5 * (hi - lo)
     return half * x + 0.5 * (hi + lo), half * w
 

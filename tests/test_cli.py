@@ -154,6 +154,15 @@ class TestProbCommand:
         assert run(["prob", "--data", data, "--d", "2", "--s", "1", "--rect", "0,1,0,1"]) == 3
         assert "data error" in capsys.readouterr().err
 
+    def test_cutoff_above_tested_degree_is_numerical_failure(self, tmp_path, capsys):
+        data = tmp_path / "pts.csv"
+        run(["sample", "--dist", "uniform", "--d", "2", "--n", "1000", "--seed", "3",
+             "--out", data])
+        # s = 0.05 and r = 3 give cutoff 3623 at n = 1000
+        assert run(["prob", "--data", data, "--d", "2", "--s", "0.05", "--r", "3",
+                    "--rect", "0.5,1,0,0.6"]) == 4
+        assert "cutoff 3623 is above 2000" in capsys.readouterr().err
+
     def test_wrapped_day_range(self, tmp_path):
         data = tmp_path / "angles.csv"
         run(["sample", "--dist", "uniform", "--d", "1", "--n", "80", "--seed", "9",

@@ -242,10 +242,10 @@ class TestKernelBackends:
 
     def test_normalized_alf_columns_sum_rule(self):
         # addition theorem at zero angle: Pbar_l0^2 + 2 sum_m Pbar_lm^2 = (2l+1)/(4pi).
-        # At sin(theta) = 1/e and degree 2000, sqrt(1-u^2)^m passes below the
-        # smallest double for the orders that carry most of the sum.
+        # At sin(theta) = 1/e and the highest supported degree, sqrt(1-u^2)^m passes
+        # below the smallest double for the orders that carry most of the sum.
         u = np.cos(np.array([0.05, math.asin(1.0 / math.e), 1.2]))
-        nmax = 2000
+        nmax = _kernels.ALF_MAX_DEGREE
         total = np.zeros(u.size)
         for m, col in _kernels.normalized_alf_columns(u, nmax):
             total += (1.0 if m == 0 else 2.0) * col[-1] ** 2

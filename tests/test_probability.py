@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sphkde._kernels import ALF_MAX_DEGREE
 from sphkde.geometry import FULL_CIRCLE, FULL_SPHERE, arc_region, rect_region
 from sphkde.kde import KdeConfig, SampleS1, SampleS2, make_config
 from sphkde.probability import (
@@ -18,7 +19,7 @@ from sphkde.probability import (
     vmf_true_prob_cap,
 )
 from sphkde.sampling import SeededRng, sample_uniform
-from sphkde.specfun import DOUBLE
+from sphkde.specfun import DOUBLE, NumericalError
 
 
 class TestProbArcS1:
@@ -90,14 +91,22 @@ class TestProbRectS2:
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_split_additivity(self):
+        # theta splits, including bands that touch a pole, from cutoff 0 to 139
         sample = sample_uniform(2, 50, SeededRng(7))
-        cfg = make_config(2, 1.0, 50)
-        whole = prob_rect_s2(sample, cfg, rect_region((0.4, 2.0, -1.0, 1.5))).value
-        parts = (
-            prob_rect_s2(sample, cfg, rect_region((0.4, 1.1, -1.0, 1.5))).value
-            + prob_rect_s2(sample, cfg, rect_region((1.1, 2.0, -1.0, 1.5))).value
-        )
-        assert whole == pytest.approx(parts, abs=1e-10)
+        cfgs = [make_config(2, 1.0, 50)] + [
+            KdeConfig(dim=2, smoothness=1.0, decay=6, n_obs=50, bandwidth=0.2, cutoff=cutoff)
+            for cutoff in (0, 60, 139)
+        ]
+        splits = [(0.4, 1.1, 2.0, -1.0, 1.5), (0.0, 0.01, math.pi, -math.pi, math.pi),
+                  (1.5, 3.0, math.pi, 2.9, 3.1)]
+        for cfg in cfgs:
+            for tlo, tmid, thi, plo, phi in splits:
+                whole = prob_rect_s2(sample, cfg, rect_region((tlo, thi, plo, phi))).value
+                parts = (
+                    prob_rect_s2(sample, cfg, rect_region((tlo, tmid, plo, phi))).value
+                    + prob_rect_s2(sample, cfg, rect_region((tmid, thi, plo, phi))).value
+                )
+                assert whole == pytest.approx(parts, abs=1e-12)
 
     def test_matches_256bit_reference(self):
         # the incomplete-Beta closed form at 256 bits is an independent theta integral
@@ -131,6 +140,14 @@ class TestProbRectS2:
             closed = prob_rect_s2(sample, cfg, region).value
             assert closed == pytest.approx(quadrature_prob(sample, cfg, region).value, abs=1e-10)
 
+    def test_cutoff_above_tested_degree_is_numerical_error(self):
+        # above degree ~3600 the sectoral seeds underflow and whole orders would read 0
+        sample = sample_uniform(2, 25, SeededRng(12))
+        for cutoff in (ALF_MAX_DEGREE + 1, 3700):
+            cfg = KdeConfig(dim=2, smoothness=1.0, decay=6, n_obs=25, bandwidth=0.1, cutoff=cutoff)
+            with pytest.raises(NumericalError, match="above"):
+                prob_rect_s2(sample, cfg, FULL_SPHERE)
+
     def test_dimension_mismatch(self):
         sample = sample_uniform(2, 10, SeededRng(11))
         with pytest.raises(ValueError):
@@ -148,20 +165,7 @@ def _sphere_case(seed, n, cutoff, h):
 
 
 class TestProbRectS2Properties:
-    """Region-split additivity and total mass of the sphere closed form."""
-
-    @settings(max_examples=10, deadline=None, derandomize=True)
-    @given(st.integers(0, 10**6), st.integers(1, 60), st.integers(0, 60), _BANDWIDTHS,
-           st.lists(_ANGLES, min_size=3, max_size=3, unique=True), _ANGLES, _ANGLES)
-    def test_theta_split_additivity(self, seed, n, cutoff, h, ts, p1, p2):
-        tlo, tmid, thi = sorted(math.pi * t for t in ts)
-        plo, phi = sorted((2.0 * math.pi * p1 - math.pi, 2.0 * math.pi * p2 - math.pi))
-        assume(tlo < tmid < thi and plo < phi)
-        sample, cfg = _sphere_case(seed, n, cutoff, h)
-        whole = prob_rect_s2(sample, cfg, rect_region((tlo, thi, plo, phi))).value
-        parts = (prob_rect_s2(sample, cfg, rect_region((tlo, tmid, plo, phi))).value
-                 + prob_rect_s2(sample, cfg, rect_region((tmid, thi, plo, phi))).value)
-        assert whole == pytest.approx(parts, abs=1e-12)
+    """Azimuth-split additivity and total mass of the sphere closed form."""
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(st.integers(0, 10**6), st.integers(1, 60), st.integers(0, 60), _BANDWIDTHS,
