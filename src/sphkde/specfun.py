@@ -7,16 +7,15 @@ recurrences; the explicit alternating expansion is kept only for
 exact-rational cross-validation (it cancels catastrophically in floating
 point from moderate degree on).
 
-The closed-form (incomplete-Beta) integral coefficient sums alternate in sign
-with factorially large terms.  They are computed in double precision up to
-degree ``AUTO_EXTENDED_DEGREE`` and in arbitrary-precision arithmetic (mpmath,
-default 256 bits) above that; the switch point was validated against a
-quadrature oracle (double keeps ~1e-10 absolute error through degree 8 and
-degrades rapidly past degree 12).  These sums are references: acceptance
-criterion 5 checks the lemma through :func:`assoc_legendre_integral`, and the
-256-bit sphere probability that tests compare against uses ``_alp_int_coef``
-and ``_beta_kernel_mp``.  The production sphere closed form needs none of
-them; it integrates normalized Legendre columns in double precision
+Every function has one arithmetic.  The pointwise functions run in double
+precision.  The closed-form (incomplete-Beta and power) Legendre integral sums
+alternate in sign with factorially large terms, so :func:`assoc_legendre_integral`
+and :func:`legendre_integral` always sum them in 256-bit arithmetic (mpmath,
+imported inside the functions that use it).  These sums are references:
+acceptance criterion 5 checks the lemma through :func:`assoc_legendre_integral`,
+and the 256-bit sphere probability that tests compare against uses
+``_assoc_integral_mp``.  The production sphere closed form needs none of them;
+it integrates normalized Legendre columns in double precision
 (:func:`sphkde._kernels.normalized_alf_columns`).
 """
 
@@ -28,46 +27,18 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lgamma
 
-import mpmath
 from scipy import special as sp
 
 from .geometry import SpherePoint
 
 FOUR_PI = 4.0 * math.pi
 
-AUTO_EXTENDED_DEGREE = 8
-DEFAULT_EXTENDED_BITS = 256
+# bits of the mpmath sums behind the closed-form Legendre integrals
+LEMMA_BITS = 256
 
 
 class NumericalError(RuntimeError):
     """Raised when a computation cannot be completed at the requested precision."""
-
-
-@dataclass(frozen=True)
-class PrecisionMode:
-    """Arithmetic regime: native doubles or mpmath with a given bit precision."""
-    kind: str   # "double" | "extended"
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("double", "extended"):
-            raise ValueError(f"unknown precision kind {self.kind!r}")
-        if self.kind == "extended" and self.bits < 64:
-            raise ValueError(f"extended precision needs >= 64 bits, got {self.bits}")
-
-
-DOUBLE = PrecisionMode("double", 53)
-
-
-def extended(bits: int = DEFAULT_EXTENDED_BITS) -> PrecisionMode:
-    return PrecisionMode("extended", bits)
-
-
-def resolve_mode(mode: PrecisionMode | None, degree: int) -> PrecisionMode:
-    """Pick the arithmetic regime for a coefficient sum of the given degree."""
-    if mode is not None:
-        return mode
-    return DOUBLE if degree <= AUTO_EXTENDED_DEGREE else extended()
 
 
 # ---------------------------------------------------------------------------
@@ -79,20 +50,11 @@ def _check_u(u: float) -> float:
     return float(u)
 
 
-def legendre_p(ell: int, u: float, mode: PrecisionMode = DOUBLE) -> float:
+def legendre_p(ell: int, u: float) -> float:
     """P_ell(u) by the three-term recurrence; |result| <= 1 on [-1, 1]."""
     if ell < 0:
         raise ValueError(f"degree must be >= 0, got {ell}")
     u = _check_u(u)
-    if mode.kind == "extended":
-        with mpmath.workprec(mode.bits):
-            um = mpmath.mpf(u)
-            pm, p = mpmath.mpf(1), um
-            if ell == 0:
-                return 1.0
-            for j in range(2, ell + 1):
-                pm, p = p, ((2 * j - 1) * um * p - (j - 1) * pm) / j
-            return float(p)
     if ell == 0:
         return 1.0
     pm, p = 1.0, u
@@ -125,14 +87,11 @@ def legendre_p_expansion(ell: int, u):
     return acc
 
 
-def assoc_legendre(ell: int, m: int, u: float, mode: PrecisionMode = DOUBLE) -> float:
+def assoc_legendre(ell: int, m: int, u: float) -> float:
     """Associated Legendre function P_ell^m(u) with the (-1)^m phase, m >= 1."""
     if not (1 <= m <= ell):
         raise ValueError(f"order must satisfy 1 <= m <= ell, got m={m}, ell={ell}")
     u = _check_u(u)
-    if mode.kind == "extended":
-        with mpmath.workprec(mode.bits):
-            return float(_assoc_legendre_mp(ell, m, mpmath.mpf(u)))
     somx2 = math.sqrt(max(0.0, (1.0 - u) * (1.0 + u)))
     pmm = 1.0
     for i in range(1, m + 1):
@@ -143,20 +102,6 @@ def assoc_legendre(ell: int, m: int, u: float, mode: PrecisionMode = DOUBLE) -> 
     pcur = u * (2.0 * m + 1.0) * pmm
     for j in range(m + 2, ell + 1):
         pprev, pcur = pcur, ((2.0 * j - 1.0) * u * pcur - (j + m - 1.0) * pprev) / (j - m)
-    return pcur
-
-
-def _assoc_legendre_mp(ell: int, m: int, u):
-    somx2 = mpmath.sqrt((1 - u) * (1 + u))
-    pmm = mpmath.mpf(1)
-    for i in range(1, m + 1):
-        pmm *= -(2 * i - 1) * somx2
-    if ell == m:
-        return pmm
-    pprev = pmm
-    pcur = u * (2 * m + 1) * pmm
-    for j in range(m + 2, ell + 1):
-        pprev, pcur = pcur, ((2 * j - 1) * u * pcur - (j + m - 1) * pprev) / (j - m)
     return pcur
 
 
@@ -177,15 +122,12 @@ def sh_norm_const(ell: int, m: int) -> float:
 # ---------------------------------------------------------------------------
 # incomplete Beta function and derived kernels
 
-def incomplete_beta(u: float, a: float, b: float, mode: PrecisionMode = DOUBLE) -> float:
+def incomplete_beta(u: float, a: float, b: float) -> float:
     """Non-regularized lower incomplete Beta integral of t^(a-1) (1-t)^(b-1) on [0, u]."""
     if not (0.0 <= u <= 1.0):
         raise ValueError(f"u must lie in [0, 1], got {u}")
     if a <= 0.0 or b <= 0.0:
         raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
-    if mode.kind == "extended":
-        with mpmath.workprec(mode.bits):
-            return float(mpmath.betainc(a, b, 0, u, regularized=False))
     if u == 0.0:
         return 0.0
     if u == 1.0:
@@ -210,18 +152,20 @@ class BetaKernelArgs:
             )
 
 
-def beta_kernel(args: BetaKernelArgs, mode: PrecisionMode = DOUBLE) -> float:
+def beta_kernel(args: BetaKernelArgs) -> float:
     """B((1+g2)/2; m/2+1, k-m/2+1) - B((1+g1)/2; m/2+1, k-m/2+1)."""
     a = args.m / 2.0 + 1.0
     b = args.k - args.m / 2.0 + 1.0
     x1 = 0.5 * (1.0 + args.gamma1)
     x2 = 0.5 * (1.0 + args.gamma2)
-    return incomplete_beta(x2, a, b, mode) - incomplete_beta(x1, a, b, mode)
+    return incomplete_beta(x2, a, b) - incomplete_beta(x1, a, b)
 
 
 @lru_cache(maxsize=262144)
 def _beta_kernel_mp(m: int, k: int, x1: float, x2: float, bits: int):
     """Cached mpmath incomplete-Beta difference at the half arguments x = (1+gamma)/2."""
+    import mpmath
+
     with mpmath.workprec(bits):
         a = mpmath.mpf(m) / 2 + 1
         b = mpmath.mpf(k) - mpmath.mpf(m) / 2 + 1
@@ -230,6 +174,7 @@ def _beta_kernel_mp(m: int, k: int, x1: float, x2: float, bits: int):
         return hi - lo
 
 
+# no sphkde caller; perfbench/spans.py counts calls through probability's import
 def _beta_kernel_double(m: int, k: int, x1: float, x2: float) -> float:
     a = m / 2.0 + 1.0
     b = k - m / 2.0 + 1.0
@@ -248,43 +193,27 @@ def _alp_int_coef(ell: int, m: int, k: int) -> int:
     return -c if k % 2 else c
 
 
-def assoc_legendre_integral(
-    ell: int, m: int, gamma1: float, gamma2: float, mode: PrecisionMode | None = None
-) -> float:
+def assoc_legendre_integral(ell: int, m: int, gamma1: float, gamma2: float) -> float:
     """Integral of P_ell^m over [gamma1, gamma2] in closed incomplete-Beta form.
 
-    The sum over k alternates with factorially large coefficients; precision
-    is switched automatically per :func:`resolve_mode` when ``mode`` is None.
+    The sum over k alternates with factorially large coefficients, so it is
+    taken in ``LEMMA_BITS``-bit arithmetic at every degree.
     """
     if not (1 <= m <= ell):
         raise ValueError(f"order must satisfy 1 <= m <= ell, got m={m}, ell={ell}")
     if not (-1.0 <= gamma1 < gamma2 <= 1.0):
         raise ValueError(f"need -1 <= gamma1 < gamma2 <= 1, got ({gamma1}, {gamma2})")
-    mode = resolve_mode(mode, ell)
     x1 = 0.5 * (1.0 + gamma1)
     x2 = 0.5 * (1.0 + gamma2)
-    if mode.kind == "extended":
-        val = _assoc_integral_mp(ell, m, x1, x2, mode.bits)
-        out = float(val)
-        if not math.isfinite(out):
-            raise NumericalError(
-                f"integral of P_{ell}^{m} overflows double precision; "
-                "keep the result in extended form"
-            )
-        return out
-    total = 0.0
-    comp = 0.0
-    for k in range(m, ell + 1):
-        coef = _alp_int_coef(ell, m, k)
-        term = float(coef) * _beta_kernel_double(m, k, x1, x2)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+    out = float(_assoc_integral_mp(ell, m, x1, x2, LEMMA_BITS))
+    if not math.isfinite(out):
+        raise NumericalError(f"integral of P_{ell}^{m} overflows double precision")
+    return out
 
 
 def _assoc_integral_mp(ell: int, m: int, x1: float, x2: float, bits: int):
+    import mpmath
+
     with mpmath.workprec(bits):
         total = mpmath.mpf(0)
         for k in range(m, ell + 1):
@@ -292,38 +221,25 @@ def _assoc_integral_mp(ell: int, m: int, x1: float, x2: float, bits: int):
         return total
 
 
-def legendre_integral(
-    ell: int, theta1: float, theta2: float, mode: PrecisionMode | None = None
-) -> float:
-    """Integral of P_ell(u) over [cos(theta2), cos(theta1)] in closed power form."""
+def legendre_integral(ell: int, theta1: float, theta2: float) -> float:
+    """Integral of P_ell(u) over [cos(theta2), cos(theta1)] in closed power form,
+    summed in ``LEMMA_BITS``-bit arithmetic."""
+    import mpmath
+
     if ell < 0:
         raise ValueError(f"degree must be >= 0, got {ell}")
     if not (0.0 <= theta1 < theta2 <= math.pi):
         raise ValueError(f"need 0 <= theta1 < theta2 <= pi, got ({theta1}, {theta2})")
-    mode = resolve_mode(mode, ell)
     # y = (1 - cos(theta)): antiderivative of (1-u)^k across [cos t2, cos t1]
-    y1 = 1.0 - math.cos(theta1)
-    y2 = 1.0 - math.cos(theta2)
-    if mode.kind == "extended":
-        with mpmath.workprec(mode.bits):
-            m1 = mpmath.mpf(y1)
-            m2 = mpmath.mpf(y2)
-            total = mpmath.mpf(0)
-            half = mpmath.mpf(-1) / 2
-            for k in range(ell + 1):
-                c = comb(ell, k) * comb(ell + k, k)
-                total += c * half ** k / (k + 1) * (m2 ** (k + 1) - m1 ** (k + 1))
-            return float(total)
-    total = 0.0
-    comp = 0.0
-    for k in range(ell + 1):
-        c = comb(ell, k) * comb(ell + k, k)
-        term = float(c) * (-0.5) ** k / (k + 1.0) * (y2 ** (k + 1) - y1 ** (k + 1))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+    with mpmath.workprec(LEMMA_BITS):
+        y1 = mpmath.mpf(1.0 - math.cos(theta1))
+        y2 = mpmath.mpf(1.0 - math.cos(theta2))
+        half = mpmath.mpf(-1) / 2
+        total = mpmath.mpf(0)
+        for k in range(ell + 1):
+            c = comb(ell, k) * comb(ell + k, k)
+            total += c * half ** k / (k + 1) * (y2 ** (k + 1) - y1 ** (k + 1))
+        return float(total)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,6 +150,30 @@ class TestProbCommand:
             build_parser().parse_args(["prob", "--data", str(data), "--d", "2", "--s", "1",
                                        "--rect", "0,1,0,1", "--precision", "double"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("method", ["closed", "quadrature"])
+    @pytest.mark.parametrize("d,rows", [
+        (1, "theta_rad\n0.7\n"),
+        (1, "theta_rad\n3.14159\n3.14159\n3.14159\n"),
+        (2, "x1,x2,x3\n0.6,0,0.8\n"),
+        (2, "x1,x2,x3\n0,0,1\n0,0,1\n0,0,1\n0,0,1\n"),
+    ], ids=["circle-n1", "circle-repeated", "sphere-n1", "sphere-repeated-pole"])
+    def test_single_and_repeated_points(self, tmp_path, d, rows, method):
+        data = tmp_path / "edge.csv"
+        data.write_text(rows)
+        if d == 1:
+            regions = (["--arc=-1,2"], ["--arc=%.17g,%.17g" % (-math.pi, math.pi)])
+        else:
+            regions = (["--rect", "0.2,1.3,-1,2"],
+                       ["--rect=0,%.17g,%.17g,%.17g" % (math.pi, -math.pi, math.pi)])
+        values = []
+        for region in regions:
+            out = tmp_path / "p.json"
+            assert run(["prob", "--data", data, "--d", d, "--s", "1", "--method", method]
+                       + region + ["--out", out]) == 0
+            values.append(json.loads(out.read_text())["probability"])
+        assert math.isfinite(values[0])
+        assert values[1] == pytest.approx(1.0, abs=1e-9)
 
     def test_nan_row_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "nan.csv"
@@ -322,3 +349,14 @@ class TestUsageErrors:
         assert run(["eval", "--data", tmp_path / "absent.csv", "--d", "1", "--s", "1",
                     "--out", out]) == 3
         assert not out.exists()
+
+
+class TestImportFootprint:
+    def test_cli_import_leaves_out_mpmath_and_scipy_stats(self):
+        # mpmath serves only the Legendre-integral lemma and test references
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys, sphkde.cli; "
+                "print([m for m in ('mpmath', 'scipy.stats') if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert out.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special as sp
@@ -8,40 +9,21 @@ from scipy.integrate import quad
 
 from sphkde.geometry import sphere_from_xyz
 from sphkde.specfun import (
-    DOUBLE,
     BetaKernelArgs,
-    PrecisionMode,
     assoc_legendre,
     assoc_legendre_integral,
     bessel_i0,
     bessel_i0_scaled,
     beta_kernel,
-    extended,
     incomplete_beta,
     legendre_integral,
     legendre_p,
     legendre_p_expansion,
-    resolve_mode,
     sh_addition_check,
     sh_norm_const,
 )
 
 FOUR_PI = 4 * math.pi
-
-
-class TestPrecisionMode:
-    def test_extended_needs_64_bits(self):
-        with pytest.raises(ValueError):
-            extended(32)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            PrecisionMode("quad", 128)
-
-    def test_auto_switch(self):
-        assert resolve_mode(None, 8) == DOUBLE
-        assert resolve_mode(None, 9).kind == "extended"
-        assert resolve_mode(DOUBLE, 99) == DOUBLE
 
 
 class TestLegendreP:
@@ -86,9 +68,6 @@ class TestLegendreP:
             ell = int(rng.integers(0, 80))
             u = float(rng.uniform(-1, 1))
             assert legendre_p(ell, u) == pytest.approx(float(sp.eval_legendre(ell, u)), rel=1e-10, abs=1e-12)
-
-    def test_extended_mode_agrees(self):
-        assert legendre_p(60, 0.9, extended(128)) == pytest.approx(legendre_p(60, 0.9), abs=1e-13)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -161,10 +140,10 @@ class TestIncompleteBeta:
         assert vals[-1] <= float(sp.beta(2.5, 3.0)) + 1e-15
 
     def test_extended_agrees_with_double(self):
-        for u in (0.2, 0.5, 0.9):
-            assert incomplete_beta(u, 2.5, 7.0, extended(128)) == pytest.approx(
-                incomplete_beta(u, 2.5, 7.0), rel=1e-12
-            )
+        with mpmath.workprec(128):
+            for u in (0.2, 0.5, 0.9):
+                ref = float(mpmath.betainc(2.5, 7.0, 0, u, regularized=False))
+                assert incomplete_beta(u, 2.5, 7.0) == pytest.approx(ref, rel=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -232,11 +211,6 @@ class TestAssocLegendreIntegral:
                 ell, m, float(g2), float(g3)
             )
             assert whole == pytest.approx(parts, abs=1e-10 * max(1.0, abs(whole)))
-
-    def test_forced_double_vs_extended_small_degree(self):
-        val_d = assoc_legendre_integral(6, 2, -0.4, 0.8, DOUBLE)
-        val_e = assoc_legendre_integral(6, 2, -0.4, 0.8, extended())
-        assert val_d == pytest.approx(val_e, abs=1e-9)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
