@@ -24,8 +24,10 @@ from .kde import (
     KdeConfig,
     SampleS1,
     SampleS2,
+    SpectralFit,
     bandwidth,
     default_decay_exponent,
+    fit,
     kde_eval_s1,
     kde_eval_s2,
     kde_grid_eval,

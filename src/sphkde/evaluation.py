@@ -15,16 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import chdtri
 
-from . import _kernels
 from .geometry import ArcRegion, RectRegion, rect_region
-from .kde import (
-    FOUR_PI,
-    KdeConfig,
-    make_config,
-    s1_symbol_coefs,
-    s2_symbol_coefs,
-)
-from .probability import prob_arc_s1, prob_rect_s2, quadrature_prob
+from .kde import KdeConfig, fit, make_config
+from .probability import closed_prob, prob_rect_s2, quadrature_prob
 from .sampling import SeededRng, UniformDistribution
 
 
@@ -81,9 +74,10 @@ def integrated_squared_error(
     full period).  Sphere: 64-node Gauss-Legendre in cos(theta) crossed with
     a 128-point full-period trapezoid in phi.
     """
+    f = fit(sample, cfg.cutoff)
     if cfg.dim == 1:
         pts = -math.pi + 2.0 * math.pi * np.arange(s1_grid) / s1_grid
-        fhat = _kernels.s1_kde_values(sample.thetas, s1_symbol_coefs(cfg), pts)
+        fhat = f.density(cfg, pts)
         diff = fhat - np.asarray(true_density(pts), dtype=np.float64)
         return float(np.sum(diff * diff) * (2.0 * math.pi / s1_grid))
     un, uw = np.polynomial.legendre.leggauss(u_nodes)
@@ -91,8 +85,7 @@ def integrated_squared_error(
     ug, pg = np.meshgrid(un, phis, indexing="ij")
     st = np.sqrt(1.0 - ug * ug)
     pts = np.stack((st * np.cos(pg), st * np.sin(pg), ug), axis=-1).reshape(-1, 3)
-    coef = (2.0 * np.arange(cfg.cutoff + 1) + 1.0) / FOUR_PI * s2_symbol_coefs(cfg)
-    fhat = _kernels.s2_kde_values(sample.xyz, coef, pts)
+    fhat = f.density(cfg, ug.ravel(), pg.ravel())
     diff = fhat - np.asarray(true_density(pts), dtype=np.float64)
     sq = (diff * diff).reshape(u_nodes, phi_nodes)
     return float(uw @ sq.sum(axis=1) * (2.0 * math.pi / phi_nodes))
@@ -155,21 +148,16 @@ class ProbTableRow:
 def run_probability_table(
     dist, s_values, n: int, regions, seed: int, r: int | None = None
 ) -> list[ProbTableRow]:
-    """Closed-form, empirical and true probabilities per region and smoothness."""
+    """Closed-form, empirical and true probabilities per region and smoothness, from one fit."""
     sample = dist.sample(n, SeededRng(seed, stream=0))
     configs = {s: make_config(dist.d, s, n, r) for s in s_values}
+    f = fit(sample, max((cfg.cutoff for cfg in configs.values()), default=0))
     rows = []
     for region in regions:
-        kde_probs = {}
-        for s, cfg in configs.items():
-            if dist.d == 1:
-                kde_probs[s] = prob_arc_s1(sample, cfg, region).value
-            else:
-                kde_probs[s] = prob_rect_s2(sample, cfg, region).value
         rows.append(
             ProbTableRow(
                 region=region,
-                kde_probs=kde_probs,
+                kde_probs={s: closed_prob(f, cfg, region) for s, cfg in configs.items()},
                 frequency=empirical_frequency(sample, region),
                 true_prob=dist.region_prob(region),
             )

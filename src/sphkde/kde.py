@@ -16,8 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .geometry import SpherePoint, cartesian_to_angles, normalize_angles
-
-FOUR_PI = 4.0 * math.pi
+from .specfun import NumericalError
 
 
 def strict_ceil(s: float) -> int:
@@ -171,32 +170,69 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
+@dataclass(frozen=True)
+class SpectralFit:
+    """A sample's moments up to degree ``nmax`` (``_kernels.s1_moments``, ``s2_moments``).
+
+    Sufficient statistics of every estimator with cutoff <= nmax, whatever its
+    smoothness, bandwidth or decay exponent.
+    """
+    dim: int
+    n: int
+    nmax: int
+    cos: np.ndarray = field(repr=False)
+    sin: np.ndarray = field(repr=False)
+
+    def moments(self, cfg: KdeConfig) -> tuple[np.ndarray, np.ndarray]:
+        """The moments up to ``cfg.cutoff``, once ``cfg`` is checked against this fit."""
+        _require(cfg.dim == self.dim, f"config dimension is {cfg.dim}, expected {self.dim}")
+        _require(cfg.n_obs == self.n, f"config n={cfg.n_obs} != sample n={self.n}")
+        _require(cfg.cutoff <= self.nmax, f"cutoff {cfg.cutoff} is above the fit's {self.nmax}")
+        k = (slice(cfg.cutoff + 1),) * self.dim
+        return self.cos[k], self.sin[k]
+
+    def density(self, cfg: KdeConfig, *coords: np.ndarray) -> np.ndarray:
+        """Estimate at angles ``theta`` (circle) or at ``(u, phi)`` = (cos theta, azimuth)."""
+        c, s = self.moments(cfg)
+        if self.dim == 1:
+            return _kernels.s1_synthesis(c, s, s1_symbol_coefs(cfg), *coords) / self.n
+        return _kernels.s2_synthesis(c, s, s2_symbol_coefs(cfg), *coords) / self.n
+
+
+def fit(sample: SampleS1 | SampleS2, nmax: int) -> SpectralFit:
+    """The one pass over the observations: their moments up to degree ``nmax``.
+
+    On the sphere, raises :class:`NumericalError` above ``_kernels.ALF_MAX_DEGREE``,
+    the highest degree at which the Legendre recursion is tested, or if a moment
+    is not finite.
+    """
+    if isinstance(sample, SampleS1):
+        return SpectralFit(1, sample.n, nmax, *_kernels.s1_moments(sample.thetas, nmax))
+    if nmax > _kernels.ALF_MAX_DEGREE:
+        raise NumericalError(f"cutoff {nmax} is above {_kernels.ALF_MAX_DEGREE}, the highest "
+                             "degree at which the Legendre recursion is tested")
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite moments are reported below
+        a, b = _kernels.s2_moments(sample.xyz[:, 2], sample.phis, nmax)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise NumericalError(f"moments are not finite at cutoff {nmax}; check the coordinates")
+    return SpectralFit(2, sample.n, nmax, a, b)
+
+
 def kde_eval_s1(sample: SampleS1, cfg: KdeConfig, theta) -> float | np.ndarray:
     """Density estimate (per radian) at one angle or an array of angles."""
     _require(cfg.dim == 1, f"config dimension is {cfg.dim}, expected 1")
-    _require(cfg.n_obs == sample.n, f"config n={cfg.n_obs} != sample n={sample.n}")
-    pts = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    vals = _kernels.s1_kde_values(sample.thetas, s1_symbol_coefs(cfg), pts.ravel())
-    if np.isscalar(theta) or np.asarray(theta).ndim == 0:
-        return float(vals[0])
-    return vals.reshape(pts.shape)
+    pts = np.asarray(theta, dtype=np.float64)
+    vals = fit(sample, cfg.cutoff).density(cfg, pts.ravel()).reshape(pts.shape)
+    return float(vals) if pts.ndim == 0 else vals
 
 
 def kde_eval_s2(sample: SampleS2, cfg: KdeConfig, x) -> float | np.ndarray:
-    """Density estimate (per steradian) at a sphere point or an (m, 3) array."""
+    """Density estimate (per steradian) at a sphere point or an (m, 3) array of unit vectors."""
     _require(cfg.dim == 2, f"config dimension is {cfg.dim}, expected 2")
-    _require(cfg.n_obs == sample.n, f"config n={cfg.n_obs} != sample n={sample.n}")
-    coef = (2.0 * np.arange(cfg.cutoff + 1) + 1.0) / FOUR_PI * s2_symbol_coefs(cfg)
-    if isinstance(x, SpherePoint):
-        pts = np.array([[x.x1, x.x2, x.x3]])
-        return float(_kernels.s2_kde_values(sample.xyz, coef, pts)[0])
-    pts = np.asarray(x, dtype=np.float64)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != 3:
-        raise ValueError(f"expected (m, 3) points, got shape {pts.shape}")
-    vals = _kernels.s2_kde_values(sample.xyz, coef, pts)
-    return float(vals[0]) if single else vals
+    pts = np.asarray((x.x1, x.x2, x.x3) if isinstance(x, SpherePoint) else x, dtype=np.float64)
+    at = SampleS2.from_xyz(np.atleast_2d(pts))
+    vals = fit(sample, cfg.cutoff).density(cfg, at.xyz[:, 2], at.phis)
+    return float(vals[0]) if pts.ndim == 1 else vals
 
 
 def s1_grid(n_points: int) -> np.ndarray:
@@ -237,8 +273,6 @@ def kde_grid_eval(
     if n_theta is None or n_phi is None:
         raise ValueError("sphere grids require n_theta and n_phi")
     thetas, phis = s2_grid(n_theta, n_phi)
-    tg, pg = np.meshgrid(thetas, phis, indexing="ij")
-    st = np.sin(tg).ravel()
-    pts = np.column_stack((st * np.cos(pg.ravel()), st * np.sin(pg.ravel()), np.cos(tg).ravel()))
-    vals = kde_eval_s2(sample, cfg, pts).reshape(n_theta, n_phi)
-    return thetas, phis, vals
+    ug, pg = np.meshgrid(np.cos(thetas), phis, indexing="ij")
+    vals = fit(sample, cfg.cutoff).density(cfg, ug.ravel(), pg.ravel())
+    return thetas, phis, vals.reshape(n_theta, n_phi)

@@ -1,19 +1,20 @@
-"""Closed-form region probabilities for the finite-order estimators, plus an
-independent quadrature oracle.
+"""Closed-form region probabilities for the finite-order estimators, plus a
+quadrature oracle.
 
-The circle closed form needs only sine sums and is stable at any cutoff.  The
-sphere closed form runs in double precision: it pairs the observation sums of
-normalized associated Legendre functions ``Pbar_lm``
-(:func:`sphkde._kernels.s2_prob_datasums`) with their integrals over the
-theta-band, taken by a Gauss-Legendre rule exact for that bandlimit, and with
-the azimuth integrals in closed form.  Above cutoff ``_kernels.ALF_MAX_DEGREE``
-(2000), the highest degree its Legendre recursion is tested at, it raises
+Both read the sample's moments (:func:`sphkde.kde.fit`).  The circle closed
+form integrates the Fourier moments over each arc and is stable at any cutoff.
+The sphere closed form runs in double precision: it integrates the moments of
+normalized associated Legendre functions ``Pbar_lm`` over the azimuth interval
+in closed form (:func:`sphkde._kernels.arc_combine`) and pairs them with the
+integrals of ``Pbar_lm`` over the theta-band, taken by a Gauss-Legendre rule
+exact for that bandlimit.  Above cutoff ``_kernels.ALF_MAX_DEGREE`` (2000), the
+highest degree its Legendre recursion is tested at, the fit raises
 NumericalError.  ``_prob_rect_s2_extended`` keeps the incomplete-Beta closed
 form in 256-bit arithmetic (mpmath, imported inside it) as a test reference; no
 production path calls it.  The quadrature oracle integrates the pointwise
-estimator directly: adaptive Simpson on circle arcs and a Gauss-Legendre product
-rule in (theta, phi) on sphere rectangles, with node counts scaled to the
-bandlimit so the rule stays spectrally accurate.
+estimate (the fit's synthesis) numerically: adaptive Simpson on circle arcs and
+a Gauss-Legendre product rule in (theta, phi) on sphere rectangles, with node
+counts scaled to the bandlimit so the rule stays spectrally accurate.
 """
 
 from __future__ import annotations
@@ -26,8 +27,16 @@ import numpy as np
 
 from . import _kernels
 from .geometry import ArcRegion, RectRegion
-from .kde import FOUR_PI, KdeConfig, SampleS1, SampleS2, s1_symbol_coefs, s2_symbol_coefs
-from .specfun import NumericalError, _assoc_integral_mp
+from .kde import (
+    KdeConfig,
+    SampleS1,
+    SampleS2,
+    SpectralFit,
+    fit,
+    s1_symbol_coefs,
+    s2_symbol_coefs,
+)
+from .specfun import FOUR_PI, NumericalError, _assoc_integral_mp
 from .specfun import _beta_kernel_double  # noqa: F401  (perfbench/spans.py counts calls through it)
 
 METHOD_CLOSED = "closed-form"
@@ -49,24 +58,34 @@ class ProbEstimate:
     elapsed: float
 
 
+def _check_region(dim: int, region) -> None:
+    domain, kind = ("circle", ArcRegion) if dim == 1 else ("sphere", RectRegion)
+    if not isinstance(region, kind):
+        raise ValueError(f"{domain} estimators integrate over {kind.__name__}")
+
+
+def closed_prob(f: SpectralFit, cfg: KdeConfig, region: ArcRegion | RectRegion) -> float:
+    """Closed-form probability of an arc or rectangle union, read from the sample's fit."""
+    c, s = f.moments(cfg)
+    _check_region(f.dim, region)
+    if f.dim == 2:
+        return sum(_prob_rect_s2_double(c, s, cfg, rect) for rect in region.rects) / f.n
+    gcoef = s1_symbol_coefs(cfg) / (math.pi * f.n * np.arange(1, cfg.cutoff + 1))
+    return sum(
+        (hi - lo) / (2.0 * math.pi) + float(gcoef @ _kernels.arc_combine(c, s, lo, hi)[1:])
+        for lo, hi in region.arcs
+    )
+
+
+def _closed_estimate(sample, cfg: KdeConfig, region) -> ProbEstimate:
+    t0 = time.perf_counter()
+    value = closed_prob(fit(sample, cfg.cutoff), cfg, region)
+    return ProbEstimate(value, region, METHOD_CLOSED, time.perf_counter() - t0)
+
+
 def prob_arc_s1(sample: SampleS1, cfg: KdeConfig, region: ArcRegion) -> ProbEstimate:
     """Closed-form probability of an arc union under the circle estimator."""
-    if cfg.dim != 1:
-        raise ValueError(f"config dimension is {cfg.dim}, expected 1")
-    if not isinstance(region, ArcRegion):
-        raise ValueError("circle probabilities integrate over ArcRegion")
-    if cfg.n_obs != sample.n:
-        raise ValueError(f"config n={cfg.n_obs} != sample n={sample.n}")
-    t0 = time.perf_counter()
-    gcoef = s1_symbol_coefs(cfg)
-    ells = np.arange(1, cfg.cutoff + 1, dtype=np.float64)
-    total = 0.0
-    for lo, hi in region.arcs:
-        total += (hi - lo) / (2.0 * math.pi)
-        if cfg.cutoff >= 1:
-            sums = _kernels.s1_prob_sums(sample.thetas, cfg.cutoff, lo, hi)
-            total += float(np.sum(gcoef / ells * sums)) / (math.pi * sample.n)
-    return ProbEstimate(total, region, METHOD_CLOSED, time.perf_counter() - t0)
+    return _closed_estimate(sample, cfg, region)
 
 
 def _rect_coef_tables_double(cfg: KdeConfig, rect) -> tuple[np.ndarray, np.ndarray]:
@@ -89,24 +108,11 @@ def _rect_coef_tables_double(cfg: KdeConfig, rect) -> tuple[np.ndarray, np.ndarr
     return a0, cm
 
 
-def _rect_datasums(
-    sample: SampleS2, nmax: int, plo: float, phi: float
-) -> tuple[np.ndarray, np.ndarray]:
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums are reported below
-        s0, s = _kernels.s2_prob_datasums(sample.xyz[:, 2], sample.phis, nmax, plo, phi)
-    if not (np.isfinite(s0).all() and np.isfinite(s).all()):
-        raise NumericalError(
-            f"observation sums are not finite at cutoff {nmax}; "
-            "the sample holds non-finite coordinates"
-        )
-    return s0, s
-
-
-def _prob_rect_s2_double(sample: SampleS2, cfg: KdeConfig, rect) -> float:
-    tlo, thi, plo, phi = rect
-    s0, s = _rect_datasums(sample, cfg.cutoff, plo, phi)
+def _prob_rect_s2_double(a: np.ndarray, b: np.ndarray, cfg: KdeConfig, rect) -> float:
+    """n times the probability of one rectangle, from the moments ``a``, ``b`` up to the cutoff."""
+    plo, phi = rect[2:]
     a0, cm = _rect_coef_tables_double(cfg, rect)
-    return float(a0 @ s0 + np.sum(cm * s)) / sample.n
+    return float(a0 @ a[:, 0] + np.sum(cm * _kernels.arc_combine(a, b, plo, phi)))
 
 
 def _prob_rect_s2_extended(sample: SampleS2, cfg: KdeConfig, rect, bits: int) -> float:
@@ -117,7 +123,8 @@ def _prob_rect_s2_extended(sample: SampleS2, cfg: KdeConfig, rect, bits: int) ->
     tlo, thi, plo, phi = rect
     nmax = cfg.cutoff
     g = s2_symbol_coefs(cfg)
-    s0, s = _rect_datasums(sample, nmax, plo, phi)
+    f = fit(sample, nmax)
+    s0, s = f.cos[:, 0], _kernels.arc_combine(f.cos, f.sin, plo, phi)
     x1 = 0.5 * (1.0 + math.cos(thi))
     x2 = 0.5 * (1.0 + math.cos(tlo))
     with mpmath.workprec(bits):
@@ -157,22 +164,7 @@ def prob_rect_s2(sample: SampleS2, cfg: KdeConfig, region: RectRegion) -> ProbEs
     One double-precision path serves every cutoff up to ``_kernels.ALF_MAX_DEGREE``.
     Above it, raises :class:`NumericalError`.
     """
-    if cfg.dim != 2:
-        raise ValueError(f"config dimension is {cfg.dim}, expected 2")
-    if not isinstance(region, RectRegion):
-        raise ValueError("sphere probabilities integrate over RectRegion")
-    if cfg.n_obs != sample.n:
-        raise ValueError(f"config n={cfg.n_obs} != sample n={sample.n}")
-    if cfg.cutoff > _kernels.ALF_MAX_DEGREE:
-        raise NumericalError(
-            f"cutoff {cfg.cutoff} is above {_kernels.ALF_MAX_DEGREE}, the highest degree "
-            "at which the normalized Legendre recursion is tested"
-        )
-    t0 = time.perf_counter()
-    total = 0.0
-    for rect in region.rects:
-        total += _prob_rect_s2_double(sample, cfg, rect)
-    return ProbEstimate(total, region, METHOD_CLOSED, time.perf_counter() - t0)
+    return _closed_estimate(sample, cfg, region)
 
 
 # ---------------------------------------------------------------------------
@@ -223,35 +215,23 @@ def quadrature_prob(sample, cfg: KdeConfig, region: ArcRegion | RectRegion) -> P
     are raised automatically with the cutoff so the product rule resolves the
     estimator's oscillations.
     """
-    if cfg.n_obs != sample.n:
-        raise ValueError(f"config n={cfg.n_obs} != sample n={sample.n}")
+    _check_region(cfg.dim, region)
     t0 = time.perf_counter()
+    f = fit(sample, cfg.cutoff)
     if cfg.dim == 1:
-        if not isinstance(region, ArcRegion):
-            raise ValueError("circle estimators integrate over ArcRegion")
-        obs = sample.thetas
-        gcoef = s1_symbol_coefs(cfg)
+        def density(t: float) -> float:
+            return float(f.density(cfg, np.array([t]))[0])
 
-        def f(t: float) -> float:
-            return float(_kernels.s1_kde_values(obs, gcoef, np.array([t]))[0])
-
-        total = sum(adaptive_simpson(f, lo, hi, QUAD_ARC_TOL) for lo, hi in region.arcs)
+        total = sum(adaptive_simpson(density, lo, hi, QUAD_ARC_TOL) for lo, hi in region.arcs)
     else:
-        if not isinstance(region, RectRegion):
-            raise ValueError("sphere estimators integrate over RectRegion")
-        coef = (2.0 * np.arange(cfg.cutoff + 1) + 1.0) / FOUR_PI * s2_symbol_coefs(cfg)
         total = 0.0
         for tlo, thi, plo, phi in region.rects:
             kt = _bandlimited_nodes(QUAD_THETA_NODES, cfg.cutoff + 1, thi - tlo)
             kp = _bandlimited_nodes(QUAD_PHI_NODES, cfg.cutoff, phi - plo)
             tn, tw = gauss_nodes(kt, tlo, thi)
             pn, pw = gauss_nodes(kp, plo, phi)
-            tg, pg = np.meshgrid(tn, pn, indexing="ij")
-            st = np.sin(tg).ravel()
-            pts = np.column_stack(
-                (st * np.cos(pg.ravel()), st * np.sin(pg.ravel()), np.cos(tg).ravel())
-            )
-            vals = _kernels.s2_kde_values(sample.xyz, coef, pts).reshape(kt, kp)
+            ug, pg = np.meshgrid(np.cos(tn), pn, indexing="ij")
+            vals = f.density(cfg, ug.ravel(), pg.ravel()).reshape(kt, kp)
             total += float((tw * np.sin(tn)) @ vals @ pw)
     return ProbEstimate(total, region, METHOD_QUADRATURE, time.perf_counter() - t0)
 

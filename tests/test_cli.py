@@ -186,9 +186,14 @@ class TestProbCommand:
         run(["sample", "--dist", "uniform", "--d", "2", "--n", "1000", "--seed", "3",
              "--out", data])
         # s = 0.05 and r = 3 give cutoff 3623 at n = 1000
-        assert run(["prob", "--data", data, "--d", "2", "--s", "0.05", "--r", "3",
-                    "--rect", "0.5,1,0,0.6"]) == 4
-        assert "cutoff 3623 is above 2000" in capsys.readouterr().err
+        params = ["--data", data, "--d", "2", "--s", "0.05", "--r", "3"]
+        for argv in (["prob", *params, "--rect", "0.5,1,0,0.6"],
+                     ["prob", *params, "--rect", "0.5,1,0,0.6", "--method=quadrature"],
+                     ["eval", *params, "--out", tmp_path / "grid.csv"],
+                     ["mise", "--true", "uniform", "--d", "2", "--s", "0.05", "--r", "3",
+                      "--n", "1000", "--reps", "1", "--seed", "3"]):
+            assert run(argv) == 4
+            assert "cutoff 3623 is above 2000" in capsys.readouterr().err
 
     def test_wrapped_day_range(self, tmp_path):
         data = tmp_path / "angles.csv"

@@ -19,7 +19,7 @@ from sphkde.evaluation import (
     integrated_squared_error,
     run_probability_table,
 )
-from sphkde.probability import adaptive_simpson
+from sphkde.probability import adaptive_simpson, prob_arc_s1, prob_rect_s2
 from sphkde.sampling import (
     SeededRng,
     UniformDistribution,
@@ -134,6 +134,24 @@ class TestRunProbabilityTable:
         for r in rows:
             assert r.true_prob == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_one_fit_serves_every_smoothness(self, d):
+        # the table slices one fit at the largest cutoff; each config alone fits its own
+        dist = VmfDistribution(VmfSpec(d=d, mu=point_from_angle(0.5) if d == 1 else NORTH, kappa=4.0))
+        if d == 1:
+            regions = [arc_region((-1.0, 0.5)), arc_region((2.0, -2.5), (0.7, 1.1))]
+        else:
+            regions = [rect_region((0.3, 1.2, -1.0, 2.0)), rect_region((2.0, 3.0, 2.5, -2.5))]
+        s_values = (0.5, 1.0, 2.0)
+        rows = run_probability_table(dist, s_values, 300, regions, seed=12)
+        sample = dist.sample(300, SeededRng(12, stream=0))
+        prob = prob_arc_s1 if d == 1 else prob_rect_s2
+        assert len({make_config(d, s, 300).cutoff for s in s_values}) == 3
+        for s in s_values:
+            cfg = make_config(d, s, 300)
+            for row, region in zip(rows, regions):
+                assert row.kde_probs[s] == pytest.approx(prob(sample, cfg, region).value, abs=1e-13)
+
     def test_vmf_true_column_uses_analytic_oracle(self):
         from sphkde.probability import vmf_true_prob_cap
 
@@ -193,15 +211,16 @@ class TestKernelBackends:
     def test_s1_kde_values(self):
         rng = np.random.default_rng(13)
         obs = rng.uniform(-math.pi, math.pi, 200)
-        gcoef = 1.0 / (1.0 + (0.3 * np.arange(1, 13)) ** 5)
         pts = rng.uniform(-math.pi, math.pi, 50)
-        a = _kernels.s1_kde_values(obs, gcoef, pts)
-        ells = np.arange(1, 13)[:, None, None]
-        cosines = np.cos(ells * (pts[None, :, None] - obs[None, None, :]))
-        b = (1.0 + 2.0 * np.einsum("l,lij->ij", gcoef, cosines)).sum(axis=1) / (
-            2.0 * math.pi * obs.size
-        )
-        assert np.max(np.abs(a - b)) < 1e-12
+        for cutoff in (0, 12):
+            gcoef = 1.0 / (1.0 + (0.3 * np.arange(1, cutoff + 1)) ** 5)
+            a = _kernels.s1_kde_values(obs, gcoef, pts)
+            ells = np.arange(1, cutoff + 1)[:, None, None]
+            cosines = np.cos(ells * (pts[None, :, None] - obs[None, None, :]))
+            b = (1.0 + 2.0 * np.einsum("l,lij->ij", gcoef, cosines)).sum(axis=1) / (
+                2.0 * math.pi * obs.size
+            )
+            assert np.max(np.abs(a - b)) < 1e-12
 
     def test_s2_kde_values(self):
         rng = np.random.default_rng(14)
@@ -209,11 +228,16 @@ class TestKernelBackends:
         obs /= np.linalg.norm(obs, axis=1)[:, None]
         pts = rng.standard_normal((40, 3))
         pts /= np.linalg.norm(pts, axis=1)[:, None]
-        coef = (2.0 * np.arange(11) + 1.0) / (4 * math.pi)
-        a = _kernels.s2_kde_values(obs, coef, pts)
-        t = np.clip(pts @ obs.T, -1.0, 1.0)
-        b = sum(c * eval_legendre(ell, t) for ell, c in enumerate(coef)).mean(axis=1)
-        assert np.max(np.abs(a - b)) < 1e-12
+        # both poles, and phi = pi and -pi (the sign of the zero y picks the side)
+        edge = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.6, 0.0, 0.8], [-0.6, -0.0, -0.8]])
+        pts = np.vstack((pts, edge))
+        for sample in (obs, np.vstack((obs, edge)), edge[3:]):  # n = 150, 154 and 1
+            t = np.clip(pts @ sample.T, -1.0, 1.0)
+            for cutoff in (0, 1, 10, 60):
+                coef = (2.0 * np.arange(cutoff + 1) + 1.0) / (4 * math.pi)
+                a = _kernels.s2_kde_values(sample, coef, pts)
+                b = sum(c * eval_legendre(ell, t) for ell, c in enumerate(coef)).mean(axis=1)
+                assert np.max(np.abs(a - b)) < 1e-12
 
     def test_s1_prob_sums(self):
         rng = np.random.default_rng(15)

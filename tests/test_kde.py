@@ -235,6 +235,12 @@ class TestKdeEvalS2:
         with pytest.raises(ValueError):
             kde_eval_s2(sample, make_config(1, 1.0, 1), np.array([0.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("x", [[0.0, 0.0, 2.0], [[0.0, 0.0, 1.0], [0.6, 0.0, 0.6]]])
+    def test_points_must_be_unit_vectors(self, x):
+        sample = SampleS2.from_xyz([[0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="unit vectors"):
+            kde_eval_s2(sample, make_config(2, 1.0, 1), np.array(x))
+
 
 class TestGridEval:
     def test_grid_matches_pointwise(self):

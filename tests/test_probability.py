@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sphkde._kernels import ALF_MAX_DEGREE
-from sphkde.geometry import FULL_CIRCLE, FULL_SPHERE, arc_region, rect_region
+from sphkde.geometry import FULL_CIRCLE, FULL_SPHERE, arc_region, normalize_angle, rect_region
 from sphkde.kde import KdeConfig, SampleS1, SampleS2, make_config
 from sphkde.probability import (
     METHOD_CLOSED,
@@ -157,7 +157,7 @@ def _sphere_case(seed, n, cutoff, h):
 
 
 class TestProbRectS2Properties:
-    """Azimuth-split additivity and total mass of the sphere closed form."""
+    """Azimuth-split additivity, total mass and polar-axis rotation of the sphere closed form."""
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(st.integers(0, 10**6), st.integers(1, 60), st.integers(0, 60), _BANDWIDTHS,
@@ -177,6 +177,22 @@ class TestProbRectS2Properties:
     def test_full_sphere_is_one(self, seed, n, cutoff, h):
         sample, cfg = _sphere_case(seed, n, cutoff, h)
         assert prob_rect_s2(sample, cfg, FULL_SPHERE).value == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6), st.integers(1, 60), st.integers(0, 60), _BANDWIDTHS,
+           _ANGLES, _ANGLES, _ANGLES, st.floats(0.05, 0.95), _ANGLES)
+    def test_rotation_about_polar_axis(self, seed, n, cutoff, h, t1, t2, p, w, d):
+        # shifting every phi_j by delta equals shifting the rectangle, wrapped or not, by delta
+        tlo, thi = sorted((math.pi * t1, math.pi * t2))
+        assume(tlo < thi)
+        plo, width, delta = 2.0 * math.pi * p - math.pi, 2.0 * math.pi * w, 2.0 * math.pi * d
+        bounds = [normalize_angle(plo + a) for a in (0.0, width, delta, width + delta)]
+        sample, cfg = _sphere_case(seed, n, cutoff, h)
+        base = SampleS2.from_angles(sample.thetas, sample.phis)
+        turned = SampleS2.from_angles(sample.thetas, sample.phis + delta)
+        p0 = prob_rect_s2(base, cfg, rect_region((tlo, thi, *bounds[:2]))).value
+        p1 = prob_rect_s2(turned, cfg, rect_region((tlo, thi, *bounds[2:]))).value
+        assert p1 == pytest.approx(p0, abs=1e-12)
 
 
 class TestQuadratureProb:
