@@ -58,17 +58,11 @@ from .sampling import (
     vmf_density,
 )
 from .specfun import (
-    BetaKernelArgs,
     NumericalError,
-    assoc_legendre,
     assoc_legendre_integral,
-    bessel_i0,
-    beta_kernel,
-    incomplete_beta,
     legendre_integral,
     legendre_p,
     legendre_p_expansion,
-    sh_addition_check,
     sh_norm_const,
 )
 from .evaluation import (

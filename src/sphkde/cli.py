@@ -41,9 +41,11 @@ from .sampling import (
     CirclePoint,
     SeededRng,
     SpherePoint,
+    UniformDistribution,
+    VmfDistribution,
+    VmfMixtureDistribution,
     VmfMixtureSpec,
     VmfSpec,
-    distribution_from_name,
 )
 from .specfun import NumericalError
 from .evaluation import bench_integration, estimate_mise
@@ -153,13 +155,11 @@ def load_sample(path: str, d: int):
         except (ValueError, IndexError) as exc:
             raise DataError(f"{path}: malformed angle data ({exc})") from exc
         return SampleS1.from_angles(thetas, source=path)
-    for cols in (("x1", "x2", "x3"),):
-        if all(c in header for c in cols):
-            ix = [header.index(c) for c in cols]
-            break
+    if all(c in header for c in ("x1", "x2", "x3")):
+        ix = [header.index(c) for c in ("x1", "x2", "x3")]
+    elif len(header) < 3:
+        raise DataError(f"{path}: sphere data needs x1,x2,x3 columns")
     else:
-        if len(header) < 3:
-            raise DataError(f"{path}: sphere data needs x1,x2,x3 columns")
         ix = [0, 1, 2]
     try:
         xyz = np.array([[float(r[i]) for i in ix] for r in rows])
@@ -224,13 +224,12 @@ def _mixture_spec(args, d: int) -> VmfMixtureSpec:
 def _distribution(args):
     d = args.d
     if args.dist == "uniform":
-        return distribution_from_name("uniform", d)
+        return UniformDistribution(d)
     if args.dist == "vmf":
         if args.kappa is None or args.mu is None:
             raise ValueError("vmf needs --kappa and --mu")
-        return distribution_from_name("vmf", d, mu=_parse_mu(args.mu, d), kappa=args.kappa)
-    spec = _mixture_spec(args, d)
-    return distribution_from_name("vmf-mixture", d, weights=spec.weights, components=spec.components)
+        return VmfDistribution(VmfSpec(d=d, mu=_parse_mu(args.mu, d), kappa=args.kappa))
+    return VmfMixtureDistribution(_mixture_spec(args, d))
 
 
 def _parse_regions(args, d: int):
@@ -366,51 +365,45 @@ def cmd_prob(args) -> int:
 
 def _ingest_rows(args):
     header, rows = read_csv(args.infile)
-    skipped = 0
-    out_rows = []
     if args.kind == "degrees-to-angle":
         idx = _column_index(header, args.column, args.infile)
-        for i, r in enumerate(rows):
-            try:
-                deg = float(r[idx])
-                out_rows.append((normalize_angle(math.radians(deg)),))
-            except (ValueError, IndexError) as exc:
-                if args.on_error == "fail":
-                    raise DataError(f"{args.infile}:{i + 2}: {exc}") from exc
-                skipped += 1
-        return ["theta_rad"], out_rows, skipped
-    if args.kind == "latlon-to-sphere":
+        out_header = ["theta_rad"]
+
+        def convert(r):
+            return (normalize_angle(math.radians(float(r[idx]))),)
+    elif args.kind == "latlon-to-sphere":
         lat_i = _column_index(header, args.lat_column, args.infile, 0)
         lon_i = _column_index(header, args.lon_column, args.infile, 1)
-        for i, r in enumerate(rows):
-            try:
-                lat = float(r[lat_i])
-                lon = float(r[lon_i])
-                if lon == -180.0:
-                    lon = 180.0
-                p = latlon_to_cartesian(lat, lon)
-                out_rows.append((p.x1, p.x2, p.x3, p.theta, p.phi))
-            except (ValueError, IndexError) as exc:
-                if args.on_error == "fail":
-                    raise DataError(f"{args.infile}:{i + 2}: {exc}") from exc
-                skipped += 1
-        return ["x1", "x2", "x3", "theta_rad", "phi_rad"], out_rows, skipped
-    # dates-to-angle: per-year period, 366 days on leap years
-    idx = _column_index(header, args.date_column, args.infile)
-    anchor = {"start": 0.0, "midpoint": 0.5, "end": 1.0}[args.day_anchor]
-    for i, r in enumerate(rows):
-        try:
+        out_header = ["x1", "x2", "x3", "theta_rad", "phi_rad"]
+
+        def convert(r):
+            lat = float(r[lat_i])
+            lon = float(r[lon_i])
+            p = latlon_to_cartesian(lat, 180.0 if lon == -180.0 else lon)
+            return (p.x1, p.x2, p.x3, p.theta, p.phi)
+    else:
+        # dates-to-angle: per-year period, 366 days on leap years
+        idx = _column_index(header, args.date_column, args.infile)
+        anchor = {"start": 0.0, "midpoint": 0.5, "end": 1.0}[args.day_anchor]
+        out_header = ["theta_rad"]
+
+        def convert(r):
             day = date.fromisoformat(r[idx].strip())
             year_start = date(day.year, 1, 1)
             length = 366.0 if day.year % 4 == 0 and (day.year % 100 != 0 or day.year % 400 == 0) else 365.0
             # the year start itself belongs to this period: keep it just above -pi
             t = max((day - year_start).days + anchor, 1e-9)
-            out_rows.append((normalize_angle(2.0 * math.pi * t / length - math.pi),))
+            return (normalize_angle(2.0 * math.pi * t / length - math.pi),)
+    skipped = 0
+    out_rows = []
+    for i, r in enumerate(rows):
+        try:
+            out_rows.append(convert(r))
         except (ValueError, IndexError) as exc:
             if args.on_error == "fail":
                 raise DataError(f"{args.infile}:{i + 2}: {exc}") from exc
             skipped += 1
-    return ["theta_rad"], out_rows, skipped
+    return out_header, out_rows, skipped
 
 
 def cmd_ingest(args) -> int:
@@ -422,6 +415,20 @@ def cmd_ingest(args) -> int:
     _write_manifest(args.out, _manifest("ingest", args, started, {args.infile: _sha256(args.infile)}))
     print(f"wrote {len(out_rows)} rows to {args.out}" + (f" ({skipped} skipped)" if skipped else ""))
     return 0
+
+
+def _write_report(args, command: str, started: str, header: list[str], rows: list[dict]) -> None:
+    """Write study rows to ``--out``: a CSV with a manifest sidecar when it ends
+    in .csv (a missing value becomes an empty field), else a JSON report that
+    embeds the manifest."""
+    if not args.out:
+        return
+    manifest = _manifest(command, args, started, {})
+    if args.out.endswith(".csv"):
+        _write_csv(args.out, header, [tuple("" if r[k] is None else r[k] for k in header) for r in rows])
+        _write_manifest(args.out, manifest)
+    else:
+        _atomic_write(args.out, json.dumps({"rows": rows, "manifest": asdict(manifest)}, indent=2) + "\n")
 
 
 def cmd_mise(args) -> int:
@@ -442,23 +449,7 @@ def cmd_mise(args) -> int:
         }
         for rep in reports
     ]
-    report = {
-        "rows": rows,
-        "manifest": asdict(_manifest("mise", args, started, {})),
-    }
-    if args.out and args.out.endswith(".csv"):
-        _write_csv(
-            args.out,
-            ["s", "n", "reps", "mise_mean", "mise_stderr"],
-            [
-                (r["s"], r["n"], r["reps"], r["mise_mean"],
-                 "" if r["mise_stderr"] is None else r["mise_stderr"])
-                for r in rows
-            ],
-        )
-        _write_manifest(args.out, _manifest("mise", args, started, {}))
-    elif args.out:
-        _atomic_write(args.out, json.dumps(report, indent=2) + "\n")
+    _write_report(args, "mise", started, ["s", "n", "reps", "mise_mean", "mise_stderr"], rows)
     for r in rows:
         err = "" if r["mise_stderr"] is None else f" +- {r['mise_stderr']:.3g}"
         print(f"s={r['s']:g}: MISE = {r['mise_mean']:.6g}{err}")
@@ -481,17 +472,9 @@ def cmd_bench(args) -> int:
         }
         for row in report.rows
     ]
-    out_doc = {"rows": rows, "manifest": asdict(_manifest("bench", args, started, {}))}
-    if args.out and args.out.endswith(".csv"):
-        _write_csv(
-            args.out,
-            ["n", "cutoff", "closed_seconds", "quadrature_seconds", "speedup"],
-            [(r["n"], r["cutoff"], r["closed_seconds"], r["quadrature_seconds"], r["speedup"])
-             for r in rows],
-        )
-        _write_manifest(args.out, _manifest("bench", args, started, {}))
-    elif args.out:
-        _atomic_write(args.out, json.dumps(out_doc, indent=2) + "\n")
+    _write_report(
+        args, "bench", started, ["n", "cutoff", "closed_seconds", "quadrature_seconds", "speedup"], rows
+    )
     for r in rows:
         print(
             f"n={r['n']}: closed {r['closed_seconds']:.4f}s, "

@@ -55,40 +55,39 @@ class BenchReport:
         return tuple(r.n for r in self.rows)
 
 
+# node-count floors of the ISE grids; each grid grows with the cutoff L so that
+# it integrates the squared estimate, of degree 2L, exactly
 ISE_S1_GRID = 1024
 ISE_S2_U_NODES = 64
 ISE_S2_PHI_NODES = 128
 
 
-def integrated_squared_error(
-    true_density,
-    sample,
-    cfg: KdeConfig,
-    s1_grid: int = ISE_S1_GRID,
-    u_nodes: int = ISE_S2_U_NODES,
-    phi_nodes: int = ISE_S2_PHI_NODES,
-) -> float:
+def integrated_squared_error(true_density, sample, cfg: KdeConfig) -> float:
     """Quadrature of (estimate - truth)^2 over the whole domain.
 
-    Circle: trapezoid on 1024 equispaced angles (spectrally exact over the
-    full period).  Sphere: 64-node Gauss-Legendre in cos(theta) crossed with
-    a 128-point full-period trapezoid in phi.
+    Circle: trapezoid on max(1024, 2L + 2) equispaced angles (spectrally exact
+    over the full period).  Sphere: max(64, L + 1) Gauss-Legendre nodes in
+    cos(theta) crossed with a max(128, 2L + 2)-point full-period trapezoid in
+    phi.  At cutoff L both rules integrate the squared estimate exactly.
     """
     f = fit(sample, cfg.cutoff)
     if cfg.dim == 1:
-        pts = -math.pi + 2.0 * math.pi * np.arange(s1_grid) / s1_grid
+        s1_points = max(ISE_S1_GRID, 2 * cfg.cutoff + 2)
+        pts = -math.pi + 2.0 * math.pi * np.arange(s1_points) / s1_points
         fhat = f.density(cfg, pts)
         diff = fhat - np.asarray(true_density(pts), dtype=np.float64)
-        return float(np.sum(diff * diff) * (2.0 * math.pi / s1_grid))
-    un, uw = np.polynomial.legendre.leggauss(u_nodes)
-    phis = -math.pi + 2.0 * math.pi * np.arange(phi_nodes) / phi_nodes
+        return float(np.sum(diff * diff) * (2.0 * math.pi / s1_points))
+    n_u = max(ISE_S2_U_NODES, cfg.cutoff + 1)
+    n_phi = max(ISE_S2_PHI_NODES, 2 * cfg.cutoff + 2)
+    un, uw = np.polynomial.legendre.leggauss(n_u)
+    phis = -math.pi + 2.0 * math.pi * np.arange(n_phi) / n_phi
     ug, pg = np.meshgrid(un, phis, indexing="ij")
     st = np.sqrt(1.0 - ug * ug)
     pts = np.stack((st * np.cos(pg), st * np.sin(pg), ug), axis=-1).reshape(-1, 3)
     fhat = f.density(cfg, ug.ravel(), pg.ravel())
     diff = fhat - np.asarray(true_density(pts), dtype=np.float64)
-    sq = (diff * diff).reshape(u_nodes, phi_nodes)
-    return float(uw @ sq.sum(axis=1) * (2.0 * math.pi / phi_nodes))
+    sq = (diff * diff).reshape(n_u, n_phi)
+    return float(uw @ sq.sum(axis=1) * (2.0 * math.pi / n_phi))
 
 
 def estimate_mise(

@@ -14,7 +14,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-UNIT_NORM_TOL = 1e-12
 CARTESIAN_NORM_TOL = 1e-9
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .geometry import SpherePoint, cartesian_to_angles, normalize_angles
+from .geometry import CARTESIAN_NORM_TOL, SpherePoint, cartesian_to_angles, normalize_angles
 from .specfun import NumericalError
 
 
@@ -134,7 +134,7 @@ class SampleS2:
             raise ValueError(f"expected a non-empty (n, 3) array, got shape {arr.shape}")
         nrm2 = np.einsum("ij,ij->i", arr, arr)
         worst = float(np.max(np.abs(nrm2 - 1.0)))
-        if not worst <= 1e-9:  # also rejects NaN rows
+        if not worst <= CARTESIAN_NORM_TOL:  # also rejects NaN rows
             raise ValueError(f"rows must be unit vectors; worst |x|^2 - 1 = {worst:g}")
         theta, phi = cartesian_to_angles(arr)
         return SampleS2(arr, theta, phi, **meta)
@@ -235,15 +235,6 @@ def kde_eval_s2(sample: SampleS2, cfg: KdeConfig, x) -> float | np.ndarray:
     return float(vals[0]) if pts.ndim == 1 else vals
 
 
-def s1_grid(n_points: int) -> np.ndarray:
-    """Equispaced angles covering the full circle (step 2 pi / n_points)."""
-    if n_points < 2:
-        raise ValueError(f"grid needs >= 2 points, got {n_points}")
-    pts = -math.pi + 2.0 * math.pi * np.arange(n_points) / n_points
-    pts[pts == -math.pi] = math.pi
-    return pts
-
-
 def s2_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
     """Inclusive equispaced (theta, phi) axes over [0, pi] x [-pi, pi]."""
     if n_theta < 2 or n_phi < 2:
@@ -268,7 +259,11 @@ def kde_grid_eval(
     if cfg.dim == 1:
         if n_points is None:
             raise ValueError("circle grids require n_points")
-        pts = s1_grid(n_points)
+        if n_points < 2:
+            raise ValueError(f"grid needs >= 2 points, got {n_points}")
+        # equispaced over the full circle (step 2 pi / n_points), -pi folded to pi
+        pts = -math.pi + 2.0 * math.pi * np.arange(n_points) / n_points
+        pts[pts == -math.pi] = math.pi
         return pts, kde_eval_s1(sample, cfg, pts)
     if n_theta is None or n_phi is None:
         raise ValueError("sphere grids require n_theta and n_phi")

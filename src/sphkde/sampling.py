@@ -15,10 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import i0e
 
 from .geometry import CirclePoint, SpherePoint
 from .kde import SampleS1, SampleS2
-from .specfun import bessel_i0_scaled
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,7 @@ def sample_vmf_mixture(spec: VmfMixtureSpec, n: int, rng: SeededRng) -> SampleS1
 
 def _vmf_density_s1(kappa: float, mu_theta: float, theta) -> np.ndarray | float:
     t = np.cos(np.asarray(theta, dtype=np.float64) - mu_theta)
-    val = np.exp(kappa * (t - 1.0)) / (2.0 * math.pi * bessel_i0_scaled(kappa))
+    val = np.exp(kappa * (t - 1.0)) / (2.0 * math.pi * i0e(kappa))
     return float(val) if val.ndim == 0 else val
 
 
@@ -323,16 +323,3 @@ def _numeric_region_prob(density, d: int, region) -> float:
         vals = np.asarray(density(pts)).reshape(tn.size, pn.size)
         total += float((tw * np.sin(tn)) @ vals @ pw)
     return total
-
-
-def distribution_from_name(name: str, d: int, **params):
-    """Factory mapping CLI names to distribution wrappers."""
-    if name == "uniform":
-        return UniformDistribution(d)
-    if name == "vmf":
-        return VmfDistribution(VmfSpec(d=d, mu=params["mu"], kappa=params["kappa"]))
-    if name == "vmf-mixture":
-        return VmfMixtureDistribution(
-            VmfMixtureSpec(weights=tuple(params["weights"]), components=tuple(params["components"]))
-        )
-    raise ValueError(f"unknown distribution {name!r}")

@@ -1,35 +1,37 @@
-"""Special functions backing the estimators: Legendre polynomials and their
-associated functions, spherical-harmonic normalization, the incomplete Beta
-function, closed-form Legendre integrals, and the modified Bessel function I0.
+"""Special functions that the estimators and the paper's Legendre-integral
+lemma call: Legendre polynomials, spherical-harmonic normalization and the
+closed-form Legendre integrals.
 
-Pointwise Legendre evaluation always goes through stable three-term
-recurrences; the explicit alternating expansion is kept only for
-exact-rational cross-validation (it cancels catastrophically in floating
-point from moderate degree on).
+Pointwise Legendre evaluation goes through the stable three-term recurrence;
+the explicit alternating expansion is summed only in exact rationals, as a
+reference (in floating point it cancels catastrophically from moderate degree
+on).
 
-Every function has one arithmetic.  The pointwise functions run in double
-precision.  The closed-form (incomplete-Beta and power) Legendre integral sums
-alternate in sign with factorially large terms, so :func:`assoc_legendre_integral`
-and :func:`legendre_integral` always sum them in 256-bit arithmetic (mpmath,
+Every function has one arithmetic.  :func:`legendre_p` and
+:func:`sh_norm_const` run in double precision.  The closed-form
+(incomplete-Beta and power) Legendre integral sums alternate in sign with
+factorially large terms, so :func:`assoc_legendre_integral` and
+:func:`legendre_integral` always sum them in 256-bit arithmetic (mpmath,
 imported inside the functions that use it).  These sums are references:
 acceptance criterion 5 checks the lemma through :func:`assoc_legendre_integral`,
 and the 256-bit sphere probability that tests compare against uses
 ``_assoc_integral_mp``.  The production sphere closed form needs none of them;
 it integrates normalized Legendre columns in double precision
 (:func:`sphkde._kernels.normalized_alf_columns`).
+
+``_beta_kernel_mp`` keeps its LRU cache, and ``_beta_kernel_double`` (no
+sphkde caller) stays, because the benchmark's tracer (``perfbench/spans.py``)
+reads the cache statistics of the one and counts calls to the other.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lgamma
 
 from scipy import special as sp
-
-from .geometry import SpherePoint
 
 FOUR_PI = 4.0 * math.pi
 
@@ -63,46 +65,24 @@ def legendre_p(ell: int, u: float) -> float:
     return p
 
 
-def legendre_p_expansion(ell: int, u):
-    """P_ell(u) via the explicit alternating expansion in powers of (1 - u).
+def legendre_p_expansion(ell: int, u) -> Fraction:
+    """P_ell(u) summed exactly, in rational arithmetic, from the explicit
+    alternating expansion in powers of (1 - u).
 
-    Exact when ``u`` is a :class:`~fractions.Fraction` (or int); the float
-    path is numerically unreliable at moderate degree and exists only to
-    demonstrate the hazard.
+    ``u`` may be an int, a :class:`~fractions.Fraction` or a float, which
+    converts exactly.  In floating point this expansion cancels
+    catastrophically from moderate degree on; summed exactly it is the
+    reference that :func:`legendre_p` is checked against.
     """
     if ell < 0:
         raise ValueError(f"degree must be >= 0, got {ell}")
-    if isinstance(u, (Fraction, int)):
-        x = Fraction(u)
-        if not (-1 <= x <= 1):
-            raise ValueError(f"argument must lie in [-1, 1], got {u}")
-        acc = Fraction(0)
-        for k in range(ell + 1):
-            acc += comb(ell, k) * comb(ell + k, k) * Fraction(-1, 2) ** k * (1 - x) ** k
-        return acc
-    u = _check_u(u)
-    acc = 0.0
+    x = Fraction(u)
+    if not (-1 <= x <= 1):
+        raise ValueError(f"argument must lie in [-1, 1], got {u}")
+    acc = Fraction(0)
     for k in range(ell + 1):
-        acc += comb(ell, k) * comb(ell + k, k) * (-0.5) ** k * (1.0 - u) ** k
+        acc += comb(ell, k) * comb(ell + k, k) * Fraction(-1, 2) ** k * (1 - x) ** k
     return acc
-
-
-def assoc_legendre(ell: int, m: int, u: float) -> float:
-    """Associated Legendre function P_ell^m(u) with the (-1)^m phase, m >= 1."""
-    if not (1 <= m <= ell):
-        raise ValueError(f"order must satisfy 1 <= m <= ell, got m={m}, ell={ell}")
-    u = _check_u(u)
-    somx2 = math.sqrt(max(0.0, (1.0 - u) * (1.0 + u)))
-    pmm = 1.0
-    for i in range(1, m + 1):
-        pmm *= -(2.0 * i - 1.0) * somx2
-    if ell == m:
-        return pmm
-    pprev = pmm
-    pcur = u * (2.0 * m + 1.0) * pmm
-    for j in range(m + 2, ell + 1):
-        pprev, pcur = pcur, ((2.0 * j - 1.0) * u * pcur - (j + m - 1.0) * pprev) / (j - m)
-    return pcur
 
 
 def sh_norm_const(ell: int, m: int) -> float:
@@ -120,46 +100,7 @@ def sh_norm_const(ell: int, m: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# incomplete Beta function and derived kernels
-
-def incomplete_beta(u: float, a: float, b: float) -> float:
-    """Non-regularized lower incomplete Beta integral of t^(a-1) (1-t)^(b-1) on [0, u]."""
-    if not (0.0 <= u <= 1.0):
-        raise ValueError(f"u must lie in [0, 1], got {u}")
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
-    if u == 0.0:
-        return 0.0
-    if u == 1.0:
-        return sp.beta(a, b)
-    return float(sp.betainc(a, b, u)) * float(sp.beta(a, b))
-
-
-@dataclass(frozen=True)
-class BetaKernelArgs:
-    """Arguments of the incomplete-Beta difference kernel."""
-    m: int
-    k: int
-    gamma1: float
-    gamma2: float
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.m <= self.k):
-            raise ValueError(f"need 1 <= m <= k, got m={self.m}, k={self.k}")
-        if not (-1.0 <= self.gamma1 <= self.gamma2 <= 1.0):
-            raise ValueError(
-                f"need -1 <= gamma1 <= gamma2 <= 1, got ({self.gamma1}, {self.gamma2})"
-            )
-
-
-def beta_kernel(args: BetaKernelArgs) -> float:
-    """B((1+g2)/2; m/2+1, k-m/2+1) - B((1+g1)/2; m/2+1, k-m/2+1)."""
-    a = args.m / 2.0 + 1.0
-    b = args.k - args.m / 2.0 + 1.0
-    x1 = 0.5 * (1.0 + args.gamma1)
-    x2 = 0.5 * (1.0 + args.gamma2)
-    return incomplete_beta(x2, a, b) - incomplete_beta(x1, a, b)
-
+# incomplete-Beta difference kernels
 
 @lru_cache(maxsize=262144)
 def _beta_kernel_mp(m: int, k: int, x1: float, x2: float, bits: int):
@@ -240,79 +181,3 @@ def legendre_integral(ell: int, theta1: float, theta2: float) -> float:
             c = comb(ell, k) * comb(ell + k, k)
             total += c * half ** k / (k + 1) * (y2 ** (k + 1) - y1 ** (k + 1))
         return float(total)
-
-
-# ---------------------------------------------------------------------------
-# modified Bessel I0
-
-def _bessel_i0_series(kappa: float) -> float:
-    # all-positive power series; no cancellation
-    term = 1.0
-    acc = 1.0
-    q = 0.25 * kappa * kappa
-    k = 1
-    while True:
-        term *= q / (k * k)
-        acc += term
-        if term < acc * 1e-17:
-            return acc
-        k += 1
-
-
-def _bessel_i0_scaled_asymptotic(kappa: float) -> float:
-    # e^(-kappa) I0(kappa) ~ (1/sqrt(2 pi kappa)) sum_k ((2k-1)!!)^2 / (k! (8 kappa)^k)
-    acc = 1.0
-    term = 1.0
-    for k in range(1, 40):
-        factor = (2.0 * k - 1.0) ** 2 / (8.0 * kappa * k)
-        nxt = term * factor
-        if nxt >= term:
-            break
-        term = nxt
-        acc += term
-        if term < 1e-17 * acc:
-            break
-    return acc / math.sqrt(2.0 * math.pi * kappa)
-
-
-def bessel_i0(kappa: float) -> float:
-    """Modified Bessel function I0; power series below 15, scaled asymptotics above."""
-    if kappa < 0.0:
-        raise ValueError(f"argument must be >= 0, got {kappa}")
-    if kappa <= 15.0:
-        return _bessel_i0_series(kappa)
-    return math.exp(kappa) * _bessel_i0_scaled_asymptotic(kappa)
-
-
-def bessel_i0_scaled(kappa: float) -> float:
-    """Exponentially scaled e^(-kappa) I0(kappa), safe for large arguments."""
-    if kappa < 0.0:
-        raise ValueError(f"argument must be >= 0, got {kappa}")
-    if kappa <= 15.0:
-        return math.exp(-kappa) * _bessel_i0_series(kappa)
-    return _bessel_i0_scaled_asymptotic(kappa)
-
-
-# ---------------------------------------------------------------------------
-# addition-formula self test
-
-def sh_addition_check(ell: int, x: SpherePoint, y: SpherePoint) -> tuple[float, float]:
-    """Evaluate both sides of the harmonic addition identity at degree ell.
-
-    lhs = (2l+1)/(4pi) P_l(<x, y>); rhs accumulates the order sum through the
-    real form implied by conjugation symmetry.  Used as a self test.
-    """
-    dot = min(1.0, max(-1.0, x.x1 * y.x1 + x.x2 * y.x2 + x.x3 * y.x3))
-    lhs = (2.0 * ell + 1.0) / FOUR_PI * legendre_p(ell, dot)
-    ux = math.cos(x.theta)
-    uy = math.cos(y.theta)
-    rhs = sh_norm_const(ell, 0) ** 2 * legendre_p(ell, ux) * legendre_p(ell, uy)
-    for m in range(1, ell + 1):
-        rhs += (
-            2.0
-            * sh_norm_const(ell, m) ** 2
-            * assoc_legendre(ell, m, ux)
-            * assoc_legendre(ell, m, uy)
-            * math.cos(m * (x.phi - y.phi))
-        )
-    return lhs, rhs

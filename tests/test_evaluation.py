@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,19 +45,30 @@ class TestIntegratedSquaredError:
         ise1 = integrated_squared_error(lambda t: kde_eval_s1(sample1, cfg1, t), sample1, cfg1)
         assert ise1 == pytest.approx(0.0, abs=1e-12)
 
-    def test_grid_refinement_converged(self):
-        dist = VmfDistribution(VmfSpec(d=2, mu=NORTH, kappa=1.0))
+    @pytest.mark.parametrize("d, cutoff", [(2, 33), (2, 64), (2, 120), (1, 700)])
+    def test_uniform_truth_matches_closed_form(self, d, cutoff):
+        # against a uniform truth, ISE = int fhat^2 - 1/|domain|; int fhat^2 is
+        # sum_l g_l^2 (2l+1)/(4 pi n^2) sum_{j,k} P_l(X_j . X_k) on the sphere
+        # (Funk-Hecke) and Parseval over the cos/sin sums on the circle
+        dist = UniformDistribution(d)
         sample = dist.sample(200, SeededRng(2))
-        cfg = make_config(2, 0.5, 200)
-        base = integrated_squared_error(dist.density, sample, cfg)
-        fine = integrated_squared_error(dist.density, sample, cfg, u_nodes=128, phi_nodes=256)
-        assert abs(base - fine) < 1e-6
-        dist1 = UniformDistribution(1)
-        sample1 = dist1.sample(200, SeededRng(3))
-        cfg1 = make_config(1, 0.5, 200)
-        base1 = integrated_squared_error(dist1.density, sample1, cfg1)
-        fine1 = integrated_squared_error(dist1.density, sample1, cfg1, s1_grid=2048)
-        assert abs(base1 - fine1) < 1e-6
+        cfg = replace(make_config(d, 0.5, 200, r=d + 1), cutoff=cutoff)
+        h, r, n = cfg.bandwidth, cfg.decay, sample.n
+        if d == 2:
+            ells = np.arange(cutoff + 1)
+            g = 1.0 / (1.0 + (h * np.sqrt(ells * (ells + 1.0))) ** r)
+            dots = np.clip(sample.xyz @ sample.xyz.T, -1.0, 1.0)
+            pair_sums = np.array([eval_legendre(ell, dots).sum() for ell in ells])
+            exact = float(np.sum(g * g * (2 * ells + 1) * pair_sums)) / (4 * math.pi * n * n)
+            exact -= 1.0 / (4 * math.pi)
+        else:
+            ells = np.arange(1, cutoff + 1)
+            g = 1.0 / (1.0 + (h * ells) ** r)
+            angles = np.outer(ells, sample.thetas)
+            power = np.cos(angles).sum(axis=1) ** 2 + np.sin(angles).sum(axis=1) ** 2
+            exact = float(np.sum(g * g * power)) / (math.pi * n * n)
+        ise = integrated_squared_error(dist.density, sample, cfg)
+        assert ise == pytest.approx(exact, rel=1e-12)
 
     def test_nonnegative(self):
         dist = UniformDistribution(1)

@@ -1,25 +1,16 @@
 import math
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 from scipy import special as sp
 from scipy.integrate import quad
 
-from sphkde.geometry import sphere_from_xyz
 from sphkde.specfun import (
-    BetaKernelArgs,
-    assoc_legendre,
     assoc_legendre_integral,
-    bessel_i0,
-    bessel_i0_scaled,
-    beta_kernel,
-    incomplete_beta,
     legendre_integral,
     legendre_p,
     legendre_p_expansion,
-    sh_addition_check,
     sh_norm_const,
 )
 
@@ -38,6 +29,8 @@ class TestLegendreP:
     def test_golden_value_degree_60(self):
         # the recurrence stays accurate where naive expansion in floats collapses
         assert legendre_p(60, 0.9) == pytest.approx(0.0317896, abs=1e-7)
+        # a float argument converts exactly, so the expansion is summed in rationals
+        assert float(legendre_p_expansion(60, 0.9)) == pytest.approx(0.0317896, abs=1e-7)
 
     def test_exact_expansion_matches_recurrence_small_degree(self):
         for ell in range(16):
@@ -76,36 +69,6 @@ class TestLegendreP:
             legendre_p(-1, 0.5)
 
 
-class TestAssocLegendre:
-    def test_first_degree_at_zero(self):
-        # P_1^1(u) = -sqrt(1 - u^2)
-        assert assoc_legendre(1, 1, 0.0) == -1.0
-
-    def test_second_degree_at_zero(self):
-        # P_2^1(u) = -3 u sqrt(1 - u^2)
-        assert assoc_legendre(2, 1, 0.0) == 0.0
-
-    def test_vanishes_at_endpoints(self):
-        for ell, m in ((3, 1), (5, 2), (10, 7)):
-            assert assoc_legendre(ell, m, 1.0) == 0.0
-            assert assoc_legendre(ell, m, -1.0) == 0.0
-
-    def test_matches_scipy_lpmv(self):
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            ell = int(rng.integers(1, 40))
-            m = int(rng.integers(1, ell + 1))
-            u = float(rng.uniform(-1, 1))
-            ref = float(sp.lpmv(m, ell, u))
-            assert assoc_legendre(ell, m, u) == pytest.approx(ref, rel=1e-10, abs=1e-10)
-
-    def test_order_range_enforced(self):
-        with pytest.raises(ValueError):
-            assoc_legendre(3, 0, 0.5)
-        with pytest.raises(ValueError):
-            assoc_legendre(3, 4, 0.5)
-
-
 class TestShNormConst:
     def test_ell_zero(self):
         assert sh_norm_const(0, 0) == pytest.approx(1.0 / math.sqrt(FOUR_PI), rel=1e-15)
@@ -120,65 +83,6 @@ class TestShNormConst:
 
     def test_large_order_finite(self):
         assert 0.0 < sh_norm_const(92, 92) < 1e-150
-
-
-class TestIncompleteBeta:
-    def test_zero_endpoint(self):
-        assert incomplete_beta(0.0, 2.0, 3.5) == 0.0
-
-    def test_full_interval_is_beta(self):
-        for a, b in ((1.5, 2.5), (2.0, 2.0), (0.5, 4.5)):
-            assert incomplete_beta(1.0, a, b) == pytest.approx(float(sp.beta(a, b)), rel=1e-13)
-
-    def test_uniform_integrand(self):
-        assert incomplete_beta(0.5, 1.0, 1.0) == pytest.approx(0.5, rel=1e-14)
-
-    def test_monotone_and_bounded(self):
-        us = np.linspace(0, 1, 21)
-        vals = [incomplete_beta(float(u), 2.5, 3.0) for u in us]
-        assert all(v2 >= v1 - 1e-15 for v1, v2 in zip(vals, vals[1:]))
-        assert vals[-1] <= float(sp.beta(2.5, 3.0)) + 1e-15
-
-    def test_extended_agrees_with_double(self):
-        with mpmath.workprec(128):
-            for u in (0.2, 0.5, 0.9):
-                ref = float(mpmath.betainc(2.5, 7.0, 0, u, regularized=False))
-                assert incomplete_beta(u, 2.5, 7.0) == pytest.approx(ref, rel=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            incomplete_beta(1.5, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            incomplete_beta(0.5, 0.0, 1.0)
-
-
-class TestBetaKernel:
-    def test_equal_endpoints_vanish(self):
-        assert beta_kernel(BetaKernelArgs(2, 5, 0.3, 0.3)) == 0.0
-
-    def test_full_interval_half_integer(self):
-        # B(3/2, 3/2) = pi / 8
-        val = beta_kernel(BetaKernelArgs(1, 1, -1.0, 1.0))
-        assert val == pytest.approx(math.pi / 8.0, rel=1e-13)
-
-    def test_full_interval_integer(self):
-        # B(2, 2) = 1/6
-        val = beta_kernel(BetaKernelArgs(2, 2, -1.0, 1.0))
-        assert val == pytest.approx(1.0 / 6.0, rel=1e-13)
-
-    def test_nonnegative_when_ordered(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            g1, g2 = np.sort(rng.uniform(-1, 1, 2))
-            k = int(rng.integers(1, 12))
-            m = int(rng.integers(1, k + 1))
-            assert beta_kernel(BetaKernelArgs(m, k, float(g1), float(g2))) >= 0.0
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            BetaKernelArgs(3, 2, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            BetaKernelArgs(1, 2, 0.5, 0.2)
 
 
 class TestAssocLegendreIntegral:
@@ -242,54 +146,3 @@ class TestLegendreIntegral:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             legendre_integral(2, 1.0, 0.5)
-
-
-class TestBesselI0:
-    def test_at_zero(self):
-        assert bessel_i0(0.0) == 1.0
-
-    def test_series_value_at_one(self):
-        # partial sums of the defining series converge to this value
-        assert bessel_i0(1.0) == pytest.approx(1.2660658777520084, rel=1e-12)
-
-    def test_increasing_and_at_least_one(self):
-        grid = [0.0, 0.1, 0.5, 1.0, 3.0, 10.0, 14.9, 15.1, 30.0, 80.0]
-        vals = [bessel_i0(k) for k in grid]
-        assert all(v >= 1.0 for v in vals)
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-
-    def test_matches_scipy_across_switch(self):
-        for k in (0.5, 5.0, 14.0, 15.0, 16.0, 25.0, 60.0, 200.0):
-            assert bessel_i0(k) == pytest.approx(float(sp.i0(k)), rel=1e-12)
-            assert bessel_i0_scaled(k) == pytest.approx(float(sp.i0e(k)), rel=1e-12)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            bessel_i0(-1.0)
-
-
-class TestAdditionFormula:
-    def test_north_pole_degree_zero(self):
-        p = sphere_from_xyz(0.0, 0.0, 1.0)
-        lhs, rhs = sh_addition_check(0, p, p)
-        assert lhs == pytest.approx(1.0 / FOUR_PI, rel=1e-14)
-        assert rhs == pytest.approx(1.0 / FOUR_PI, rel=1e-14)
-
-    def test_identity_random_pairs(self):
-        rng = np.random.default_rng(6)
-        for _ in range(100):
-            ell = int(rng.integers(0, 11))
-            x = rng.standard_normal(3)
-            y = rng.standard_normal(3)
-            px = sphere_from_xyz(*(x / np.linalg.norm(x)))
-            py = sphere_from_xyz(*(y / np.linalg.norm(y)))
-            lhs, rhs = sh_addition_check(ell, px, py)
-            assert abs(lhs - rhs) < 1e-10
-
-    def test_coincident_points(self):
-        rng = np.random.default_rng(7)
-        v = rng.standard_normal(3)
-        p = sphere_from_xyz(*(v / np.linalg.norm(v)))
-        for ell in (0, 3, 8, 15):
-            lhs, _ = sh_addition_check(ell, p, p)
-            assert lhs == pytest.approx((2 * ell + 1) / FOUR_PI, rel=1e-12)
